@@ -62,6 +62,7 @@ from .propagator import (
     ExtractedGate,
     PropagationSettings,
     dark_basis_matrix,
+    evolve,
     evolve_lab,
     evolve_moving,
     evolve_to_nominal,

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
@@ -380,19 +379,6 @@ def build_path(config: RunConfig) -> paths.ControlPath:
         raise ConfigError(f"[path] invalid fourier profiles: {exc}") from exc
 
 
-def _workers_from_env() -> int | None:
-    env = os.environ.get("THREADS")
-    if env is None:
-        return None
-    try:
-        value = int(env)
-    except ValueError:
-        raise ConfigError(f"THREADS must be an integer, got {env!r}") from None
-    if value < 1:
-        raise ConfigError("THREADS must be >= 1")
-    return value
-
-
 def _config_echo(config: RunConfig) -> dict:
     """Config fields relevant to the result (the output dir is environment,
     not experiment, and is excluded so reruns into fresh dirs stay identical)."""
@@ -461,7 +447,10 @@ def _complex_matrix(m: np.ndarray) -> list:
 
 def run(config: RunConfig) -> int:
     """Execute the configured experiment; returns the exit status."""
-    workers = _workers_from_env()
+    try:
+        workers = experiments.threads_from_env()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = build_path(config)
@@ -489,10 +478,7 @@ def run(config: RunConfig) -> int:
             epsilon=config.epsilon, steps_per_unit_time=config.steps_per_unit_time,
             frame=config.frame,
         )
-        if config.frame == "moving":
-            u = propagator.evolve_moving(path, settings)
-        else:
-            u = propagator.evolve_lab(path, settings)
+        u = propagator.evolve(path, settings)
         gate = propagator.extract_logical_gate(u, path)
         ideal = holonomy.ideal_gate(results["omega_canonical"])
         results["extracted_block"] = _complex_matrix(gate.block)

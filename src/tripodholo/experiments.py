@@ -62,13 +62,28 @@ class ScalingResult:
     results: tuple[MCResult, ...]
 
 
+def threads_from_env() -> int | None:
+    """Worker count from the THREADS environment variable; None when unset.
+
+    Raises ValueError, naming the variable, unless it is an integer >= 1.
+    """
+    env = os.environ.get("THREADS")
+    if env is None:
+        return None
+    try:
+        value = int(env)
+    except ValueError:
+        raise ValueError(f"THREADS must be an integer, got {env!r}") from None
+    if value < 1:
+        raise ValueError("THREADS must be >= 1")
+    return value
+
+
 def _resolve_workers(workers) -> int:
     if workers is not None:
         return max(1, int(workers))
-    env = os.environ.get("THREADS")
-    if env is not None:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
+    env = threads_from_env()
+    return env if env is not None else min(8, os.cpu_count() or 1)
 
 
 def _mc_grid(path: paths.ControlPath, spec: noise.NoiseSpec, period: float) -> np.ndarray:

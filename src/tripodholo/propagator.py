@@ -1,10 +1,18 @@
 """Exact numerical time evolution of the driven system.
 
-Two independent integration routes: the lab frame composes closed-form
-tripod exponentials at midpoint drive values; the moving frame splits each
-step into a frame rotation and a rescaled initial Hamiltonian, both in
-closed form. Every step is exactly unitary, and the two routes must agree
-through V(T) = R(T) U(T), which the tests enforce.
+The tripod Hamiltonian only couples the ground level to the excited
+triplet, so conjugating by Q = diag(1, i, i, i) turns every exact step
+exp(-iH dt) into a real rotation of R^4, read as the quaternions
+v0 + v1 i + v2 j + v3 k. Each rotation is v -> a v conj(b) for a pair of
+unit quaternions (a, b), and a product of steps is the pair of ordered
+quaternion products, so a whole propagator is U = Q M Q^-1 with
+M v = A v conj(B), A = a_n ... a_1 and B = b_n ... b_1.
+
+Two independent integration routes share that core: the lab frame takes
+the closed-form tripod step at midpoint drive values; the moving frame
+splits each step into a frame rotation and a rescaled initial Hamiltonian,
+both in closed form. Every step is exactly unitary, and the two routes
+must agree through V(T) = R(T) U(T), which the tests enforce.
 """
 
 from __future__ import annotations
@@ -35,25 +43,68 @@ class PropagationSettings:
             raise ValueError("frame must be 'lab' or 'moving'")
 
 
-def _ordered_product(mats: np.ndarray) -> np.ndarray:
-    """Product mats[-1] @ ... @ mats[0] by pairwise tree reduction."""
-    m = mats
-    while m.shape[0] > 1:
-        n = m.shape[0]
+#: Q = diag(1, i, i, i), which maps the real quaternion rotations to the
+#: tripod steps: U = Q M Q^-1.
+_Q = np.array([1.0, 1j, 1j, 1j])
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def _hamilton(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Hamilton product p q of quaternion arrays whose first axis holds the
+    components (1, i, j, k); the other axes broadcast."""
+    p0, p1, p2, p3 = p
+    q0, q1, q2, q3 = q
+    out = np.empty(np.broadcast_shapes(p.shape, q.shape))
+    out[0] = p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3
+    out[1] = p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2
+    out[2] = p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1
+    out[3] = p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0
+    return out
+
+
+def _propagate(a: np.ndarray, b: np.ndarray, t_mid: np.ndarray) -> np.ndarray:
+    """U = Q M Q^-1 for steps M_k v = a_k v conj(b_k), a and b of shape (4, n).
+
+    One pairwise tree reduction of the stacked pair gives A = a_n ... a_1
+    and B = b_n ... b_1 together. A non-finite step poisons the products, so
+    the check runs on them and only searches the steps when it fails.
+    """
+    steps = np.empty((4, 2, a.shape[1]))
+    steps[:, 0], steps[:, 1] = a, b
+    m = steps
+    while m.shape[-1] > 1:
+        n = m.shape[-1]
         even = n - (n % 2)
-        paired = np.matmul(m[1:even:2], m[0:even:2])
+        paired = _hamilton(m[..., 1:even:2], m[..., 0:even:2])
         if n % 2:
-            paired = np.concatenate([paired, m[-1:]], axis=0)
+            paired = np.concatenate([paired, m[..., -1:]], axis=-1)
         m = paired
-    return m[0]
+    if not np.all(np.isfinite(m)):
+        k = int(np.argmin(np.isfinite(steps).all(axis=(0, 1))))
+        raise ValueError(f"drive is not finite at step time t = {float(t_mid[k]):.6g} "
+                         f"(step {k} of {t_mid.size})")
+    big_a, big_b = m[:, 0, 0], m[:, 1, 0]
+    # Column j of M is A e_j conj(B) for the basis quaternions e_j.
+    big_m = _hamilton(_hamilton(big_a[:, None], np.eye(4)), (big_b * _CONJ)[:, None])
+    return _Q[:, None] * big_m * _Q.conj()[None, :]
 
 
 def _effective_steps(path: ControlPath, settings: PropagationSettings,
                      t_end: float) -> int:
     """Step count keeping dt <= min(1/spu, 0.1/max r)."""
     rr = path.radius(np.linspace(0.0, 1.0, 257))
-    per_unit = max(settings.steps_per_unit_time, int(np.ceil(10.0 * np.max(rr))))
+    # A non-finite radius is reported by _propagate, with the step it hits.
+    r_max = np.max(rr, where=np.isfinite(rr), initial=0.0)
+    per_unit = max(settings.steps_per_unit_time, int(np.ceil(10.0 * r_max)))
     return max(4, int(np.ceil(t_end * per_unit)))
+
+
+def evolve(path: ControlPath, settings: PropagationSettings) -> np.ndarray:
+    """Propagator over one period in the frame that settings.frame names:
+    U(T) for "lab", V(T) for "moving"."""
+    if settings.frame == "moving":
+        return evolve_moving(path, settings)
+    return evolve_lab(path, settings)
 
 
 def evolve_lab(path: ControlPath, settings: PropagationSettings) -> np.ndarray:
@@ -77,56 +128,45 @@ def evolve_to_nominal(path: ControlPath, settings: PropagationSettings,
     n = _effective_steps(path, settings, t_nominal)
     dt = t_nominal / n
     t_mid = (np.arange(n) + 0.5) * dt
-    x = path.x(t_mid / period)
-    return _ordered_product(tripod.step_unitaries(x, dt))
+    q = tripod.step_unitaries(path.x(t_mid / period), dt, form="quaternion").T
+    return _propagate(q, q * _CONJ[:, None], t_mid)
 
 
 def evolve_moving(path: ControlPath, settings: PropagationSettings) -> np.ndarray:
     """Moving-frame propagator V(T) solving i dV/dt = (eps A + alpha H0) V.
 
     A = i (dR/dt) R^-1 comes analytically from the frame angular velocity and
-    exponentiates to a real rotation of the excited triplet; alpha H0 is the
-    initial Hamiltonian rescaled by r(s)/r(0) and exponentiates in closed
-    form. A symmetric split of the two keeps every step unitary and the
-    whole scheme second order.
+    exponentiates to a real rotation of the excited triplet, v -> p v conj(p)
+    with p = cos(|rho|/2) + sin(|rho|/2) rho^ for rotation vector rho; alpha
+    H0 is the initial Hamiltonian rescaled by r(s)/r(0) and exponentiates in
+    closed form to the quaternion q. A symmetric split of the two keeps every
+    step unitary and the whole scheme second order; the step
+    v -> p (q (p v conj(p)) q) conj(p) is the pair (p q p, p conj(q) p).
     """
     eps = settings.epsilon
     t_end = 1.0 / eps
     n = _effective_steps(path, settings, t_end)
     dt = t_end / n
-    s_mid = ((np.arange(n) + 0.5) * dt) * eps
+    t_mid = (np.arange(n) + 0.5) * dt
+    s_mid = t_mid * eps
 
-    w = tripod.frame_angular_velocity(path, s_mid)
-    half = _excited_rotations(-0.5 * eps * dt * w)
+    rho = -0.5 * eps * dt * tripod.frame_angular_velocity(path, s_mid)
+    angle = np.linalg.norm(rho, axis=1)
+    p = np.empty((4, n))
+    p[0] = np.cos(0.5 * angle)
+    # sin(a/2)/a written through sinc for small angles.
+    p[1:] = rho.T * (0.5 * np.sinc(angle / (2.0 * np.pi)))
 
     x0 = path.x(0.0)
     alpha = path.radius(s_mid) / float(path.radius(0.0))
-    core = tripod.step_unitaries(np.broadcast_to(x0, (n, 3)), alpha * dt)
-
-    steps = np.matmul(half, np.matmul(core, half))
-    return _ordered_product(steps)
-
-
-def _excited_rotations(rotvecs: np.ndarray) -> np.ndarray:
-    """exp(J . w h) = 1 (+) Rodrigues rotation with vector -w h, batched.
-
-    rotvecs holds the (already negated) rotation vectors, shape (n, 3).
-    """
-    v = np.asarray(rotvecs, dtype=float)
-    n = v.shape[0]
-    angle = np.linalg.norm(v, axis=1)
-    k = np.zeros((n, 3, 3))
-    k[:, 0, 1], k[:, 0, 2] = -v[:, 2], v[:, 1]
-    k[:, 1, 0], k[:, 1, 2] = v[:, 2], -v[:, 0]
-    k[:, 2, 0], k[:, 2, 1] = -v[:, 1], v[:, 0]
-    # sin(a)/a and (1 - cos a)/a^2 written through sinc for small angles.
-    c1 = np.sinc(angle / np.pi)
-    c2 = 0.5 * np.sinc(angle / (2.0 * np.pi)) ** 2
-    block = np.eye(3) + c1[:, None, None] * k + c2[:, None, None] * np.matmul(k, k)
-    out = np.zeros((n, 4, 4), dtype=complex)
-    out[:, 0, 0] = 1.0
-    out[:, 1:, 1:] = block
-    return out
+    q = np.ascontiguousarray(tripod.step_unitaries(
+        np.broadcast_to(x0, (n, 3)), alpha * dt, form="quaternion").T)
+    # p q p and p conj(q) p share the part q0 p p and differ in the sign of
+    # p q_vec p, with q_vec the vector part of q.
+    shared = q[0] * _hamilton(p, p)
+    q[0] = 0.0
+    vector = _hamilton(_hamilton(p, q), p)
+    return _propagate(shared + vector, shared - vector, t_mid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,8 +192,11 @@ def dark_basis_matrix(path: ControlPath) -> np.ndarray:
 
 def extract_logical_gate(u: np.ndarray, path: ControlPath) -> ExtractedGate:
     """Project a propagator onto the initial dark plane of the path."""
+    u = np.asarray(u, dtype=complex)
+    if not np.all(np.isfinite(u)):
+        raise ValueError("propagator has non-finite entries")
     b = dark_basis_matrix(path).astype(complex)
-    m = b.conj().T @ np.asarray(u, dtype=complex) @ b
+    m = b.conj().T @ u @ b
     leakage = max(0.0, 1.0 - 0.5 * float(np.trace(m.conj().T @ m).real))
     re = m.real
     angle = float(np.arctan2(0.5 * (re[0, 1] - re[1, 0]), 0.5 * (re[0, 0] + re[1, 1])))

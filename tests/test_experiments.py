@@ -14,7 +14,7 @@ from tripodholo import (
     scaling_study,
     timing_study,
 )
-from tripodholo.experiments import _IntervalEngine, _mc_grid
+from tripodholo.experiments import _IntervalEngine, _mc_grid, threads_from_env
 from tripodholo import holonomy, noise as noise_mod
 
 EQUATOR = latitude_loop(np.pi / 2, 1.0)
@@ -260,3 +260,18 @@ def test_analytic_delta_nan_for_varying_radius():
     res = mc_delta(varying, spec, 0.05, 32, "first_order", workers=1)
     assert np.isnan(res.analytic_delta)
     assert res.delta_std > 0.0
+
+
+def test_threads_env_parsing(monkeypatch):
+    monkeypatch.delenv("THREADS", raising=False)
+    assert threads_from_env() is None
+    monkeypatch.setenv("THREADS", "3")
+    assert threads_from_env() == 3
+    spec = NoiseSpec(sigma=(0.01, 0.01, 0.0), tau=(1.0, 1.0, 1.0), seed=1)
+    for value, message in (("0", "THREADS must be >= 1"),
+                           ("zero", "THREADS must be an integer, got 'zero'")):
+        monkeypatch.setenv("THREADS", value)
+        with pytest.raises(ValueError, match=message):
+            threads_from_env()
+        with pytest.raises(ValueError, match=message):
+            mc_delta(EQUATOR, spec, 0.05, 4, "first_order")

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from tripodholo import (
+    ControlPath,
     Harmonics,
     PropagationSettings,
     canonical_angle,
+    evolve,
     evolve_lab,
     evolve_moving,
     evolve_to_nominal,
@@ -18,6 +20,7 @@ from tripodholo import (
     step_unitary,
     timing_mismatch_error,
 )
+from tripodholo.paths import Profile
 from tripodholo.propagator import dark_basis_matrix
 
 
@@ -162,6 +165,37 @@ def test_evolve_to_nominal_zero_mismatch_is_exact():
                           evolve_lab(path, settings))
     with pytest.raises(ValueError):
         evolve_to_nominal(path, settings, 60.0)
+
+
+def test_evolve_dispatches_on_frame():
+    for frame, route in (("lab", evolve_lab), ("moving", evolve_moving)):
+        settings = PropagationSettings(epsilon=0.05, frame=frame)
+        assert np.array_equal(evolve(GENERIC_FOURIER, settings),
+                              route(GENERIC_FOURIER, settings))
+
+
+def test_non_finite_drive_is_rejected_at_its_first_step():
+    # The radius is NaN for 0.3 < s < 0.6. At epsilon 0.05 there are 400
+    # steps of dt 0.05, so the first bad midpoint is t = 120.5 dt = 6.025;
+    # a drive of period 20.5 reaches s = 0.3 later, at t = 123.5 dt = 6.175.
+    path = ControlPath(
+        theta=Profile(lambda s: np.full_like(s, 1.0)),
+        phi=Profile(lambda s: 2 * np.pi * s),
+        radius=Profile(lambda s: np.where((s > 0.3) & (s < 0.6), np.nan, 1.0)),
+    )
+    settings = PropagationSettings(epsilon=0.05)
+    for propagate, t_bad in ((evolve_lab, r"6\.025"), (evolve_moving, r"6\.025"),
+                             (lambda p, s: evolve_to_nominal(p, s, 0.5), r"6\.175")):
+        with pytest.raises(ValueError, match=f"not finite at step time t = {t_bad} "):
+            propagate(path, settings)
+
+
+def test_extract_rejects_non_finite_propagator():
+    path = latitude_loop(np.pi / 3)
+    u = np.eye(4, dtype=complex)
+    u[2, 3] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        extract_logical_gate(u, path)
 
 
 def test_timing_error_linear_in_mismatch():

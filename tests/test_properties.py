@@ -1,0 +1,97 @@
+"""Invariants of both propagation frames over random smooth loops.
+
+The references fold tripod.step_unitaries rows (the closed-form complex
+steps) one matrix product at a time, and build the moving frame's triplet
+rotations with scipy's Rodrigues formula, so they share no code with the
+quaternion core they check.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from scipy.spatial.transform import Rotation
+
+from tripodholo import PropagationSettings, evolve, fourier_path, Harmonics, tripod
+from tripodholo.propagator import _effective_steps
+
+PROPERTY_SETTINGS = settings(max_examples=20, derandomize=True, deadline=None)
+
+coeff = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def loops(draw):
+    """A fourier_path with winding 1 and at most two bounded harmonics per
+    profile; theta stays inside (0.3, pi - 0.3) and r inside (0.2, 2.0)."""
+    def harmonics(scale):
+        return tuple(scale * draw(coeff) for _ in range(draw(st.integers(0, 2))))
+
+    theta = Harmonics(offset=draw(st.floats(1.1, np.pi - 1.1)),
+                      sin=harmonics(0.2), cos=harmonics(0.2))
+    phi = Harmonics(offset=draw(st.floats(-np.pi, np.pi)), slope=2.0 * np.pi,
+                    sin=harmonics(0.4), cos=harmonics(0.4))
+    radius = Harmonics(offset=draw(st.floats(0.9, 1.3)), slope=0.3 * draw(coeff),
+                       sin=harmonics(0.1), cos=harmonics(0.1))
+    return fourier_path(theta, phi, radius)
+
+
+epsilons = st.floats(0.02, 0.1)
+
+
+def _step_times(path, s):
+    t_end = 1.0 / s.epsilon
+    n = _effective_steps(path, s, t_end)
+    dt = t_end / n
+    return (np.arange(n) + 0.5) * dt, dt
+
+
+def _fold(steps):
+    u = np.eye(4, dtype=complex)
+    for step in steps:
+        u = step @ u
+    return u
+
+
+def lab_reference(path, s):
+    t_mid, dt = _step_times(path, s)
+    return _fold(tripod.step_unitaries(path.x(t_mid * s.epsilon), dt))
+
+
+def moving_reference(path, s):
+    t_mid, dt = _step_times(path, s)
+    s_mid = t_mid * s.epsilon
+    rotvecs = -0.5 * s.epsilon * dt * tripod.frame_angular_velocity(path, s_mid)
+    half = np.zeros((t_mid.size, 4, 4))
+    half[:, 0, 0] = 1.0
+    half[:, 1:, 1:] = Rotation.from_rotvec(rotvecs).as_matrix()
+    alpha = path.radius(s_mid) / float(path.radius(0.0))
+    core = tripod.step_unitaries(np.broadcast_to(path.x(0.0), (t_mid.size, 3)),
+                                 alpha * dt)
+    return _fold(half @ core @ half)
+
+
+@PROPERTY_SETTINGS
+@given(loops(), epsilons)
+def test_lab_core_matches_folded_complex_steps(path, eps):
+    u = evolve(path, PropagationSettings(epsilon=eps, frame="lab"))
+    assert np.max(np.abs(u - lab_reference(path, PropagationSettings(epsilon=eps)))) < 1e-11
+
+
+@PROPERTY_SETTINGS
+@given(loops(), epsilons)
+def test_moving_core_matches_folded_split_steps(path, eps):
+    v = evolve(path, PropagationSettings(epsilon=eps, frame="moving"))
+    assert np.max(np.abs(v - moving_reference(path, PropagationSettings(epsilon=eps)))) < 1e-11
+
+
+@PROPERTY_SETTINGS
+@given(loops(), epsilons, st.sampled_from(("lab", "moving")))
+def test_propagators_are_unitary(path, eps, frame):
+    u = evolve(path, PropagationSettings(epsilon=eps, frame=frame))
+    assert np.linalg.norm(u.conj().T @ u - np.eye(4)) < 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(loops(), epsilons, st.sampled_from(("lab", "moving")))
+def test_propagators_are_deterministic(path, eps, frame):
+    s = PropagationSettings(epsilon=eps, frame=frame)
+    assert np.array_equal(evolve(path, s), evolve(path, s))

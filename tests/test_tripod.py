@@ -199,3 +199,28 @@ def test_step_unitary_group_property():
         lhs = tripod.step_unitary(x, dt1) @ tripod.step_unitary(x, dt2)
         rhs = tripod.step_unitary(x, dt1 + dt2)
         assert np.linalg.norm(lhs - rhs) < 1e-12
+
+
+def _qmul(p, q):
+    """Hamilton product of two quaternions (w, x, y, z), via the left matrix."""
+    w, x, y, z = p
+    left = np.array([[w, -x, -y, -z], [x, w, -z, y], [y, z, w, -x], [z, -y, x, w]])
+    return left @ q
+
+
+def test_step_quaternions_rotate_like_conjugated_steps():
+    rng = np.random.default_rng(13)
+    xs = rng.standard_normal((6, 3))
+    dts = rng.uniform(0.1, 2.0, 6)
+    qs = tripod.step_unitaries(xs, dts, form="quaternion")
+    assert qs.shape == (6, 4)
+    assert np.allclose(np.linalg.norm(qs, axis=1), 1.0, atol=1e-15)
+    phase = np.diag([1.0, 1j, 1j, 1j])
+    for x, dt, q in zip(xs, dts, qs):
+        rotation = np.column_stack([_qmul(_qmul(q, e), q) for e in np.eye(4)])
+        oracle = expm_taylor(-1j * dt * tripod.hamiltonian(x))
+        assert np.linalg.norm(phase.conj() @ oracle @ phase - rotation) < 1e-11
+    zero = tripod.step_unitaries(np.zeros((1, 3)), 0.7, form="quaternion")
+    assert np.array_equal(zero, [[1.0, 0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError):
+        tripod.step_unitaries(xs, dts, form="su2")
