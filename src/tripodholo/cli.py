@@ -478,7 +478,10 @@ def run(config: RunConfig) -> int:
             epsilon=config.epsilon, steps_per_unit_time=config.steps_per_unit_time,
             frame=config.frame,
         )
-        u = propagator.evolve(path, settings)
+        try:
+            u = propagator.evolve(path, settings)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         gate = propagator.extract_logical_gate(u, path)
         ideal = holonomy.ideal_gate(results["omega_canonical"])
         results["extracted_block"] = _complex_matrix(gate.block)

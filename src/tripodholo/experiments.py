@@ -81,20 +81,28 @@ def threads_from_env() -> int | None:
 
 def _resolve_workers(workers) -> int:
     if workers is not None:
-        return max(1, int(workers))
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
+        return int(workers)
     env = threads_from_env()
     return env if env is not None else min(8, os.cpu_count() or 1)
 
 
-def _mc_grid(path: paths.ControlPath, spec: noise.NoiseSpec, period: float) -> np.ndarray:
-    """Uniform grid resolving both the noise correlation and the drive."""
+def _mc_intervals(path: paths.ControlPath, spec: noise.NoiseSpec, period: float) -> int:
+    """Interval count of the uniform grid resolving both the noise
+    correlation and the drive."""
     dense = np.linspace(0.0, 1.0, 257)
     r_max = float(np.max(path.radius(dense)))
     n = max(2000, int(np.ceil(10.0 * period * r_max)))
     driven = [t for s, t in zip(spec.sigma, spec.tau) if s > 0.0]
     if driven:
         n = max(n, int(np.ceil(10.0 * period / min(driven))))
-    return np.linspace(0.0, period, n + 1)
+    return n
+
+
+def _mc_grid(path: paths.ControlPath, spec: noise.NoiseSpec, period: float) -> np.ndarray:
+    """Uniform grid over one period with _mc_intervals intervals."""
+    return np.linspace(0.0, period, _mc_intervals(path, spec, period) + 1)
 
 
 class _IntervalEngine:
@@ -198,7 +206,15 @@ def mc_delta(path: paths.ControlPath, spec: noise.NoiseSpec, epsilon: float,
         raise ValueError(f"mode must be one of {MC_MODES}")
     if n < 1:
         raise ValueError("need at least one realization")
+    n_workers = _resolve_workers(workers)
     period = 1.0 / float(epsilon)
+    if mode == "full_propagation":
+        spu = int(np.ceil(_mc_intervals(path, spec, period) / period))
+        settings = propagator.PropagationSettings(
+            epsilon=float(epsilon), steps_per_unit_time=spu
+        )
+        # Rejects an oversized ensemble before its grid or noise exists.
+        propagator._effective_steps(path, settings, period)
     grid = _mc_grid(path, spec, period)
     s = grid / period
     if mode == "first_order":
@@ -220,10 +236,6 @@ def mc_delta(path: paths.ControlPath, spec: noise.NoiseSpec, epsilon: float,
                 return float(np.einsum("ki,ki->", wkernel, real.dx)), 0.0
     else:
         omega_ref = holonomy.solid_angle(path).omega_canonical
-        spu = int(np.ceil((grid.size - 1) / period))
-        settings = propagator.PropagationSettings(
-            epsilon=float(epsilon), steps_per_unit_time=spu
-        )
 
         def one(idx: int) -> tuple[float, float]:
             real = noise.sample_realization(spec, grid, idx)
@@ -233,7 +245,6 @@ def mc_delta(path: paths.ControlPath, spec: noise.NoiseSpec, epsilon: float,
             d = holonomy.canonical_angle(gate.angle_estimate - omega_ref)
             return d, gate.leakage
 
-    n_workers = _resolve_workers(workers)
     indices = range(n)
     if n_workers == 1:
         rows = [one(i) for i in indices]

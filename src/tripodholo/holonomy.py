@@ -58,7 +58,7 @@ class SolidAngleReport:
 
 
 def solid_angle(path: ControlPath) -> SolidAngleReport:
-    """Quadrature of the two solid-angle forms plus the winding number."""
+    """Both solid-angle forms, from one quadrature call, plus the winding number."""
     dense = path.grid if path.grid is not None else np.linspace(0.0, 1.0, 2049)
     th = path.theta(dense)
     if np.min(th) <= 0.0 or np.max(th) >= np.pi:
@@ -66,14 +66,12 @@ def solid_angle(path: ControlPath) -> SolidAngleReport:
             "path touches a coordinate pole; use a regularized representative"
         )
 
-    def f_cos(s):
-        return np.cos(path.theta(s)) * path.phi.derivative(s)
+    def forms(s):
+        c = np.cos(path.theta(s))
+        phid = path.phi.derivative(s)
+        return np.stack([c * phid, (1.0 - c) * phid])
 
-    def f_area(s):
-        return (1.0 - np.cos(path.theta(s))) * path.phi.derivative(s)
-
-    omega_cos = integrate_path(path, f_cos)
-    omega_area = integrate_path(path, f_area)
+    omega_cos, omega_area = (float(v) for v in integrate_path(path, forms))
     return SolidAngleReport(
         omega_cos=omega_cos,
         omega_area=omega_area,
@@ -96,11 +94,8 @@ def connection(path: ControlPath, s: float) -> np.ndarray:
 
 
 def gate_from_connection(path: ControlPath) -> LogicalGate:
-    """Closed-form gate: rotation by the integrated angle of the connection."""
-    def f_cos(s):
-        return np.cos(path.theta(s)) * path.phi.derivative(s)
-
-    return ideal_gate(integrate_path(path, f_cos))
+    """Closed-form gate: rotation by the connection's integrated angle, omega_cos."""
+    return ideal_gate(solid_angle(path).omega_cos)
 
 
 def delta_omega_first_order(path: ControlPath, dx, s_grid=None) -> float:
@@ -138,10 +133,11 @@ def delta_variance_analytic(path: ControlPath, spec, period: float) -> float:
     """Closed-form variance of the first-order angle error for noise
     described by `spec`, on a drive of the given physical period.
 
-    Component-faithful form: sum_i tau_i sigma_i^2 int ([x^ cross dx^/dt]_i
-    / r)^2 dt. For isotropic noise this equals tau sigma^2 int |dx^/dt|^2 dt
-    when r = 1. Only constant-amplitude paths are accepted; the white-noise
-    reduction behind the formula is not available for time-varying r.
+    Component-faithful form, with the three components integrated in one
+    call: sum_i tau_i sigma_i^2 int ([x^ cross dx^/dt]_i / r)^2 dt. For
+    isotropic noise this equals tau sigma^2 int |dx^/dt|^2 dt when r = 1.
+    Only constant-amplitude paths are accepted; the white-noise reduction
+    behind the formula is not available for time-varying r.
     """
     dense = np.linspace(0.0, 1.0, 1025)
     rr = path.radius(dense)
@@ -150,21 +146,9 @@ def delta_variance_analytic(path: ControlPath, spec, period: float) -> float:
             "analytic variance requires a constant drive amplitude r(s); "
             "use Monte Carlo for varying-amplitude paths"
         )
-    taus = np.asarray(spec.tau, dtype=float)
-    sigmas = np.asarray(spec.sigma, dtype=float)
-    total = 0.0
-    for i in range(3):
-        if sigmas[i] == 0.0:
-            continue
-
-        def f(s, i=i):
-            s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-            k = angle_response_kernel(path, s_arr)[..., i]
-            out = k ** 2
-            return out if np.ndim(s) else out[0]
-
-        total += taus[i] * sigmas[i] ** 2 * integrate_path(path, f)
-    return float(total) / float(period)
+    weights = np.asarray(spec.tau, dtype=float) * np.asarray(spec.sigma, dtype=float) ** 2
+    per_axis = integrate_path(path, lambda s: angle_response_kernel(path, s).T ** 2)
+    return float(np.dot(weights, per_axis)) / float(period)
 
 
 @dataclass(frozen=True)

@@ -97,6 +97,13 @@ class ControlPath:
         dense = self.grid if self.grid is not None else np.linspace(0.0, 1.0, 1025)
         th = self.theta(dense)
         rr = self.radius(dense)
+        # NaN compares False with everything, so the range checks below
+        # would let a non-finite profile through.
+        for name, values in (("theta", th), ("phi", self.phi(dense)), ("radius", rr)):
+            bad = ~np.isfinite(values)
+            if np.any(bad):
+                raise ValueError(f"{name} profile is not finite at "
+                                 f"s = {float(dense[np.argmax(bad)]):.6g}")
         if np.min(rr) <= 0.0:
             raise ValueError("radius profile must stay positive")
         if np.min(th) < -1e-12 or np.max(th) > np.pi + 1e-12:

@@ -43,6 +43,11 @@ class PropagationSettings:
             raise ValueError("frame must be 'lab' or 'moving'")
 
 
+#: Largest step count one propagation may allocate. A lab step takes about
+#: 190 B and a moving-frame step about 370 B at peak, so this is 1.6 GB and
+#: 3.1 GB.
+MAX_STEPS = 2 ** 23
+
 #: Q = diag(1, i, i, i), which maps the real quaternion rotations to the
 #: tripod steps: U = Q M Q^-1.
 _Q = np.array([1.0, 1j, 1j, 1j])
@@ -91,12 +96,21 @@ def _propagate(a: np.ndarray, b: np.ndarray, t_mid: np.ndarray) -> np.ndarray:
 
 def _effective_steps(path: ControlPath, settings: PropagationSettings,
                      t_end: float) -> int:
-    """Step count keeping dt <= min(1/spu, 0.1/max r)."""
+    """Step count keeping dt <= min(1/spu, 0.1/max r).
+
+    Raises ValueError when the count exceeds MAX_STEPS, before any step is
+    allocated; the comparison runs in floats, so an infinite count gets the
+    same error.
+    """
     rr = path.radius(np.linspace(0.0, 1.0, 257))
     # A non-finite radius is reported by _propagate, with the step it hits.
     r_max = np.max(rr, where=np.isfinite(rr), initial=0.0)
     per_unit = max(settings.steps_per_unit_time, int(np.ceil(10.0 * r_max)))
-    return max(4, int(np.ceil(t_end * per_unit)))
+    count = np.ceil(t_end * per_unit)
+    if not count <= MAX_STEPS:
+        raise ValueError(f"{count:.6g} time steps exceed the limit of "
+                         f"MAX_STEPS = {MAX_STEPS}")
+    return max(4, int(count))
 
 
 def evolve(path: ControlPath, settings: PropagationSettings) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Quadrature over control paths.
 
-Function-backed paths get adaptive quadrature; spline-backed (grid) paths
-get composite Simpson on a midpoint-refined copy of their native grid, which
-matches the spline's own accuracy.
+Function-backed paths get adaptive Gauss-Kronrod cubature on whole arrays of
+points; spline-backed (grid) paths get composite Simpson on a midpoint-refined
+copy of their native grid, which matches the spline's own accuracy.
 """
 
 from __future__ import annotations
@@ -10,26 +10,26 @@ from __future__ import annotations
 import numpy as np
 from scipy import integrate
 
-#: Interior breakpoints of the piecewise path families.
-_LUNE_BREAKS = (0.25, 0.5, 0.75)
 
+def integrate_path(path, f):
+    """Integral of f(s) over [0, 1] along the given path.
 
-def integrate_path(path, f, rel_tol: float = 1e-10) -> float:
-    """Integral of f(s) over [0, 1] along the given path."""
+    f maps an array s to shape (len(s),), or to (k, len(s)) for k integrands
+    sharing one evaluation; the result is a float or a (k,) array. Raises
+    ValueError when cubature does not converge or the result is not finite.
+    """
     if path.grid is not None:
         s = _refine(path.grid)
-        return float(integrate.simpson(f(s), x=s))
-    points = _LUNE_BREAKS if path.name == "lune" else None
-    val, _ = integrate.quad(
-        lambda s: float(f(np.asarray(s))),
-        0.0,
-        1.0,
-        epsabs=1e-12,
-        epsrel=rel_tol,
-        limit=400,
-        points=points,
-    )
-    return float(val)
+        val = integrate.simpson(f(s), x=s)
+    else:
+        res = integrate.cubature(lambda x: f(x[:, 0]).T, [0.0], [1.0],
+                                 rtol=1e-10, atol=1e-12)
+        if res.status != "converged":
+            raise ValueError(f"path integral did not converge in {res.subdivisions} subdivisions")
+        val = res.estimate
+    if not np.all(np.isfinite(val)):
+        raise ValueError("path integral is not finite")
+    return float(val) if np.ndim(val) == 0 else val
 
 
 def _refine(grid: np.ndarray) -> np.ndarray:

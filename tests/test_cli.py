@@ -366,3 +366,11 @@ def test_threads_env_validation(tmp_path, monkeypatch):
     cfg.write_text(MINIMAL_GATE, encoding="utf-8")
     monkeypatch.setenv("THREADS", "zero")
     assert cli.main(["gate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+
+
+def test_gate_step_count_past_the_ceiling_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(MINIMAL_GATE.replace("epsilon = 0.05", "epsilon = 1e-9"),
+                   encoding="utf-8")
+    assert cli.main(["gate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "MAX_STEPS" in capsys.readouterr().err

@@ -275,3 +275,23 @@ def test_threads_env_parsing(monkeypatch):
             threads_from_env()
         with pytest.raises(ValueError, match=message):
             mc_delta(EQUATOR, spec, 0.05, 4, "first_order")
+
+
+def test_workers_below_one_are_rejected():
+    spec = NoiseSpec.uniform(0.01, 0.1, seed=0)
+    for workers in (0, -2):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            mc_delta(EQUATOR, spec, 0.05, 4, "first_order", workers=workers)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        scaling_study(EQUATOR, 1.0, 1.0, 1.0, 1.0, np.geomspace(1e-2, 1e-1, 4),
+                      n=4, mode="first_order", workers=0)
+
+
+def test_full_propagation_step_ceiling_trips_before_any_noise(monkeypatch):
+    def no_noise(*args, **kwargs):
+        raise AssertionError("noise was drawn")
+
+    monkeypatch.setattr(noise_mod, "sample_realization", no_noise)
+    spec = NoiseSpec.uniform(0.01, 0.1, seed=0)
+    with pytest.raises(ValueError, match="MAX_STEPS"):
+        mc_delta(EQUATOR, spec, 1e-9, 4, "full_propagation", workers=1)

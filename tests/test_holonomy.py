@@ -22,6 +22,7 @@ from tripodholo import (
     thick_boundary_area,
 )
 from tripodholo.experiments import fit_power_law
+from tripodholo.quadrature import integrate_path
 
 
 GENERIC_FOURIER = fourier_path(
@@ -248,3 +249,43 @@ def test_anisotropic_variance_component_faithful():
     full = NoiseSpec.uniform(0.05, 0.1)
     assert delta_variance_analytic(eq, axis3, 50.0) == pytest.approx(
         delta_variance_analytic(eq, full, 50.0), rel=1e-10)
+
+
+@pytest.mark.parametrize("k", [64, 128, 256])
+def test_solid_angle_resolves_fast_phi_harmonic(k):
+    # omega_cos = cos(theta0) (phi(1) - phi(0)) whatever the harmonic; a
+    # uniform-grid rule misses it once the harmonic outruns its grid.
+    theta0 = 1.0
+    path = fourier_path(Harmonics(offset=theta0),
+                        Harmonics(offset=0.0, slope=2 * np.pi, sin=(0.0,) * (k - 1) + (0.5,)),
+                        Harmonics(offset=1.0))
+    assert solid_angle(path).omega_cos == pytest.approx(
+        2 * np.pi * np.cos(theta0), abs=1e-10)
+
+
+def test_solid_angle_resolves_phi_corner_off_the_dyadic_points():
+    theta0 = 1.0
+    third = 1.0 / 3.0
+
+    def phi(s):
+        s = np.asarray(s, float)
+        return 2 * np.pi * np.where(s < third, 2 * s, 2 * third + 0.5 * (s - third))
+
+    def phi_d(s):
+        return 2 * np.pi * np.where(np.asarray(s, float) < third, 2.0, 0.5)
+
+    path = ControlPath(
+        theta=Profile(fn=lambda s: np.full_like(np.asarray(s, float), theta0)),
+        phi=Profile(fn=phi, dfn=phi_d),
+        radius=Profile(fn=lambda s: np.ones_like(np.asarray(s, float))),
+    )
+    assert solid_angle(path).omega_cos == pytest.approx(
+        2 * np.pi * np.cos(theta0), abs=1e-9)
+
+
+def test_integrate_path_rejects_non_finite_and_unconverged_integrals():
+    path = latitude_loop(1.0)
+    with pytest.raises(ValueError, match="not finite"):
+        integrate_path(path, lambda s: np.full_like(s, np.nan))
+    with pytest.raises(ValueError, match="did not converge"):
+        integrate_path(path, lambda s: np.sign(np.sin(1e5 * s)))

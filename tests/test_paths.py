@@ -214,3 +214,23 @@ def test_control_path_validation():
             phi=Profile(fn=lambda s: 2 * np.pi * np.asarray(s, float)),
             radius=Profile(fn=lambda s: 1.0 - 1.5 * np.asarray(s, float)),
         )
+
+
+def test_control_path_rejects_non_finite_profiles():
+    # NaN fails every comparison, so a range check alone lets these through.
+    def bump(s):
+        s = np.asarray(s, float)
+        return np.where((s > 0.3) & (s < 0.6), np.nan, 1.0)
+
+    with pytest.raises(ValueError, match="theta profile is not finite at s = 0.300781"):
+        ControlPath(theta=Profile(fn=bump),
+                    phi=Profile(fn=lambda s: 2 * np.pi * np.asarray(s, float)),
+                    radius=Profile(fn=lambda s: np.ones_like(np.asarray(s, float))))
+    with pytest.raises(ValueError, match="radius profile is not finite"):
+        ControlPath(theta=Profile(fn=lambda s: np.full_like(np.asarray(s, float), 1.0)),
+                    phi=Profile(fn=lambda s: 2 * np.pi * np.asarray(s, float)),
+                    radius=Profile(fn=bump))
+    with pytest.raises(ValueError, match="phi profile is not finite"):
+        ControlPath(theta=Profile(fn=lambda s: np.full_like(np.asarray(s, float), 1.0)),
+                    phi=Profile(fn=lambda s: 2 * np.pi * np.asarray(s, float) * bump(s)),
+                    radius=Profile(fn=lambda s: np.ones_like(np.asarray(s, float))))

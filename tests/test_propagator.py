@@ -21,7 +21,7 @@ from tripodholo import (
     timing_mismatch_error,
 )
 from tripodholo.paths import Profile
-from tripodholo.propagator import dark_basis_matrix
+from tripodholo.propagator import MAX_STEPS, _effective_steps, dark_basis_matrix
 
 
 def constant_path(theta0=1.1, phi0=0.4, r0=1.3):
@@ -175,13 +175,14 @@ def test_evolve_dispatches_on_frame():
 
 
 def test_non_finite_drive_is_rejected_at_its_first_step():
-    # The radius is NaN for 0.3 < s < 0.6. At epsilon 0.05 there are 400
-    # steps of dt 0.05, so the first bad midpoint is t = 120.5 dt = 6.025;
-    # a drive of period 20.5 reaches s = 0.3 later, at t = 123.5 dt = 6.175.
+    # The radius is NaN for 0.301 < s < 0.3015, a window between the points
+    # of the constructor's check grid (k / 1024). At epsilon 0.05 there are
+    # 400 steps of dt 0.05, so the first bad midpoint is t = 120.5 dt = 6.025;
+    # a drive of period 20.5 reaches the window later, at t = 123.5 dt = 6.175.
     path = ControlPath(
         theta=Profile(lambda s: np.full_like(s, 1.0)),
         phi=Profile(lambda s: 2 * np.pi * s),
-        radius=Profile(lambda s: np.where((s > 0.3) & (s < 0.6), np.nan, 1.0)),
+        radius=Profile(lambda s: np.where((s > 0.301) & (s < 0.3015), np.nan, 1.0)),
     )
     settings = PropagationSettings(epsilon=0.05)
     for propagate, t_bad in ((evolve_lab, r"6\.025"), (evolve_moving, r"6\.025"),
@@ -220,3 +221,20 @@ def test_timing_error_matches_first_order_prediction():
         r_rotation(path, s0).T.astype(complex) @ basis @ ideal_gate(omega_full * s0).matrix
         - basis @ ideal_gate(omega_full).matrix)
     assert measured == pytest.approx(pred, rel=0.05)
+
+
+def test_step_count_above_the_ceiling_is_rejected_before_allocation():
+    path = latitude_loop(np.pi / 3)
+    # 1e9 time units at 20 steps each; the ceiling must trip before the
+    # 2e10 steps are built.
+    huge = PropagationSettings(epsilon=1e-9)
+    with pytest.raises(ValueError,
+                       match=r"2e\+10 time steps exceed the limit of MAX_STEPS = 8388608"):
+        _effective_steps(path, huge, 1e9)
+    for propagate in (evolve_lab, evolve_moving, lambda p, s: evolve_to_nominal(p, s, 1.0)):
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            propagate(path, huge)
+    # 1 / 1e-320 is infinite in floats: the same named error, not OverflowError.
+    with pytest.raises(ValueError, match="inf time steps exceed"):
+        evolve_lab(path, PropagationSettings(epsilon=1e-320))
+    assert _effective_steps(path, PropagationSettings(epsilon=1.0), MAX_STEPS / 20) == MAX_STEPS

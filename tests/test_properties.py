@@ -3,7 +3,8 @@
 The references fold tripod.step_unitaries rows (the closed-form complex
 steps) one matrix product at a time, and build the moving frame's triplet
 rotations with scipy's Rodrigues formula, so they share no code with the
-quaternion core they check.
+quaternion core they check. The frame duality V = R(1) U uses
+tripod.r_rotation, built from the path angles alone.
 """
 
 import numpy as np
@@ -95,3 +96,21 @@ def test_propagators_are_unitary(path, eps, frame):
 def test_propagators_are_deterministic(path, eps, frame):
     s = PropagationSettings(epsilon=eps, frame=frame)
     assert np.array_equal(evolve(path, s), evolve(path, s))
+
+
+@PROPERTY_SETTINGS
+@given(loops(), epsilons)
+def test_frame_duality_converges_at_second_order(path, eps):
+    r1 = tripod.r_rotation(path, 1.0)
+
+    def defect(spu):
+        u, v = (evolve(path, PropagationSettings(epsilon=eps, steps_per_unit_time=spu,
+                                                 frame=frame))
+                for frame in ("lab", "moving"))
+        return float(np.linalg.norm(v - r1 @ u))
+
+    coarse, fine = defect(100), defect(200)
+    assert fine <= 1e-4
+    # Halving the step cuts a second-order defect 4x; below 1e-10 it is
+    # round-off and no longer falls.
+    assert fine < 1e-10 or coarse >= 3.0 * fine
