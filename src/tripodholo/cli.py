@@ -418,6 +418,8 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _format_cell(value) -> str:
+    if type(value) is float:
+        return repr(value)
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -428,7 +430,7 @@ def _format_cell(value) -> str:
 def _write_csv(path: Path, header: list[str], rows) -> None:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_format_cell(v) for v in row))
+        lines.append(",".join(map(_format_cell, row)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -446,7 +448,12 @@ def _complex_matrix(m: np.ndarray) -> list:
 
 
 def run(config: RunConfig) -> int:
-    """Execute the configured experiment; returns the exit status."""
+    """Execute the configured experiment; returns the exit status.
+
+    A config that needs more than propagator.MAX_STEPS steps in one
+    propagation raises propagator.StepLimitError, which main reports as a
+    config error.
+    """
     try:
         workers = experiments.threads_from_env()
     except ValueError as exc:
@@ -478,10 +485,7 @@ def run(config: RunConfig) -> int:
             epsilon=config.epsilon, steps_per_unit_time=config.steps_per_unit_time,
             frame=config.frame,
         )
-        try:
-            u = propagator.evolve(path, settings)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        u = propagator.evolve(path, settings)
         gate = propagator.extract_logical_gate(u, path)
         ideal = holonomy.ideal_gate(results["omega_canonical"])
         results["extracted_block"] = _complex_matrix(gate.block)
@@ -491,11 +495,12 @@ def run(config: RunConfig) -> int:
         results["distance_to_ideal"] = float(np.linalg.norm(gate.block - ideal.matrix))
         checks.append(("leakage below 0.1", not gate.adiabaticity_lost))
         samples = paths.sample(path, 256)
+        x = samples.x
+        # Row by row, |x| = sqrt(x . x) bit for bit, as np.linalg.norm(row) is.
+        r = np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
         _write_csv(out / "path_samples.csv",
                    ["s", "x1", "x2", "x3", "theta", "phi", "r"],
-                   [(s, x[0], x[1], x[2], t, ph, float(np.linalg.norm(x)))
-                    for s, x, t, ph in zip(samples.s, samples.x, samples.theta,
-                                           samples.phi)])
+                   np.column_stack([samples.s, x, samples.theta, samples.phi, r]).tolist())
 
     elif config.subcommand == "holonomy":
         s = np.linspace(0.0, 1.0, 513)
@@ -656,7 +661,9 @@ def main(argv=None) -> int:
         if args.out is not None:
             config = _replace(config, out_dir=args.out)
         return run(config)
-    except ConfigError as exc:
+    except (ConfigError, propagator.StepLimitError) as exc:
+        # A step count past MAX_STEPS comes from the config's epsilon or
+        # grids, in whichever subcommand propagates.
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

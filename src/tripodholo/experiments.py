@@ -208,23 +208,25 @@ def mc_delta(path: paths.ControlPath, spec: noise.NoiseSpec, epsilon: float,
         raise ValueError("need at least one realization")
     n_workers = _resolve_workers(workers)
     period = 1.0 / float(epsilon)
+    n_intervals = _mc_intervals(path, spec, period)
     if mode == "full_propagation":
-        spu = int(np.ceil(_mc_intervals(path, spec, period) / period))
+        spu = int(np.ceil(n_intervals / period))
         settings = propagator.PropagationSettings(
             epsilon=float(epsilon), steps_per_unit_time=spu
         )
         # Rejects an oversized ensemble before its grid or noise exists.
         propagator._effective_steps(path, settings, period)
-    grid = _mc_grid(path, spec, period)
-    s = grid / period
     if mode == "first_order":
-        if grid.size > 6001 and spec.pinning != "exact-bridge":
+        # The interval engine never reads the dense grid, so only the direct
+        # sampler builds it.
+        if n_intervals > 6000 and spec.pinning != "exact-bridge":
             engine = _IntervalEngine(path, spec, period)
 
             def one(idx: int) -> tuple[float, float]:
                 return engine(idx), 0.0
         else:
-            kernel = holonomy.angle_response_kernel(path, s) / period
+            grid = _mc_grid(path, spec, period)
+            kernel = holonomy.angle_response_kernel(path, grid / period) / period
             weights = np.empty(grid.size)
             dt = grid[1] - grid[0]
             weights[:] = dt
@@ -235,6 +237,7 @@ def mc_delta(path: paths.ControlPath, spec: noise.NoiseSpec, epsilon: float,
                 real = noise.sample_realization(spec, grid, idx)
                 return float(np.einsum("ki,ki->", wkernel, real.dx)), 0.0
     else:
+        grid = _mc_grid(path, spec, period)
         omega_ref = holonomy.solid_angle(path).omega_canonical
 
         def one(idx: int) -> tuple[float, float]:

@@ -6,7 +6,10 @@ exp(-iH dt) into a real rotation of R^4, read as the quaternions
 v0 + v1 i + v2 j + v3 k. Each rotation is v -> a v conj(b) for a pair of
 unit quaternions (a, b), and a product of steps is the pair of ordered
 quaternion products, so a whole propagator is U = Q M Q^-1 with
-M v = A v conj(B), A = a_n ... a_1 and B = b_n ... b_1.
+M v = A v conj(B), A = a_n ... a_1 and B = b_n ... b_1. The core holds
+each quaternion q0 + q1 i + q2 j + q3 k as the complex pair
+(z1, z2) = (q0 + i q1, q2 + i q3), q = z1 + z2 j, so that one product
+takes four complex multiplies.
 
 Two independent integration routes share that core: the lab frame takes
 the closed-form tripod step at midpoint drive values; the moving frame
@@ -43,6 +46,10 @@ class PropagationSettings:
             raise ValueError("frame must be 'lab' or 'moving'")
 
 
+class StepLimitError(ValueError):
+    """A propagation would need more than MAX_STEPS time steps."""
+
+
 #: Largest step count one propagation may allocate. A lab step takes about
 #: 190 B and a moving-frame step about 370 B at peak, so this is 1.6 GB and
 #: 3.1 GB.
@@ -51,36 +58,61 @@ MAX_STEPS = 2 ** 23
 #: Q = diag(1, i, i, i), which maps the real quaternion rotations to the
 #: tripod steps: U = Q M Q^-1.
 _Q = np.array([1.0, 1j, 1j, 1j])
-_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+#: The basis quaternions 1, i, j, k as complex pairs, one per column.
+_BASIS = np.array([[1.0, 1j, 0.0, 0.0], [0.0, 0.0, 1.0, 1j]])
 
 
-def _hamilton(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Hamilton product p q of quaternion arrays whose first axis holds the
-    components (1, i, j, k); the other axes broadcast."""
-    p0, p1, p2, p3 = p
-    q0, q1, q2, q3 = q
-    out = np.empty(np.broadcast_shapes(p.shape, q.shape))
-    out[0] = p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3
-    out[1] = p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2
-    out[2] = p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1
-    out[3] = p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0
+def _pair(q: np.ndarray) -> np.ndarray:
+    """Complex pairs (z1, z2) = (q0 + i q1, q2 + i q3), so that q = z1 + z2 j,
+    of real quaternion rows (q0, q1, q2, q3): shape (n, 4) -> (2, n).
+
+    A C-contiguous q is viewed, not copied.
+    """
+    return np.ascontiguousarray(q, dtype=float).view(complex).T
+
+
+def _unpair(z: np.ndarray) -> np.ndarray:
+    """Real quaternion rows of complex pairs, shape (2, n) -> (n, 4); inverts
+    _pair."""
+    return np.ascontiguousarray(z.T).view(float)
+
+
+def _conj(q: np.ndarray) -> np.ndarray:
+    """Quaternion conjugate of complex pairs: conj(z1 + z2 j) = conj(z1) - z2 j."""
+    return np.stack([q[0].conj(), -q[1]])
+
+
+def _qmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Quaternion product p q of complex pairs whose first axis holds
+    (z1, z2); the other axes broadcast.
+
+    Since j z = conj(z) j, (p1 + p2 j)(q1 + q2 j)
+    = (p1 q1 - p2 conj(q2)) + (p1 q2 + p2 conj(q1)) j.
+    """
+    p1, p2 = p
+    q1, q2 = q
+    out = np.empty(np.broadcast_shapes(p.shape, q.shape), dtype=complex)
+    np.multiply(p1, q1, out=out[0])
+    out[0] -= p2 * q2.conj()
+    np.multiply(p1, q2, out=out[1])
+    out[1] += p2 * q1.conj()
     return out
 
 
 def _propagate(a: np.ndarray, b: np.ndarray, t_mid: np.ndarray) -> np.ndarray:
-    """U = Q M Q^-1 for steps M_k v = a_k v conj(b_k), a and b of shape (4, n).
+    """U = Q M Q^-1 for steps M_k v = a_k v conj(b_k), a and b complex pairs
+    of shape (2, n).
 
     One pairwise tree reduction of the stacked pair gives A = a_n ... a_1
     and B = b_n ... b_1 together. A non-finite step poisons the products, so
     the check runs on them and only searches the steps when it fails.
     """
-    steps = np.empty((4, 2, a.shape[1]))
-    steps[:, 0], steps[:, 1] = a, b
+    steps = np.stack([a, b], axis=1)
     m = steps
     while m.shape[-1] > 1:
         n = m.shape[-1]
         even = n - (n % 2)
-        paired = _hamilton(m[..., 1:even:2], m[..., 0:even:2])
+        paired = _qmul(m[..., 1:even:2], m[..., 0:even:2])
         if n % 2:
             paired = np.concatenate([paired, m[..., -1:]], axis=-1)
         m = paired
@@ -88,9 +120,8 @@ def _propagate(a: np.ndarray, b: np.ndarray, t_mid: np.ndarray) -> np.ndarray:
         k = int(np.argmin(np.isfinite(steps).all(axis=(0, 1))))
         raise ValueError(f"drive is not finite at step time t = {float(t_mid[k]):.6g} "
                          f"(step {k} of {t_mid.size})")
-    big_a, big_b = m[:, 0, 0], m[:, 1, 0]
     # Column j of M is A e_j conj(B) for the basis quaternions e_j.
-    big_m = _hamilton(_hamilton(big_a[:, None], np.eye(4)), (big_b * _CONJ)[:, None])
+    big_m = _unpair(_qmul(_qmul(m[:, 0], _BASIS), _conj(m[:, 1]))).T
     return _Q[:, None] * big_m * _Q.conj()[None, :]
 
 
@@ -98,9 +129,9 @@ def _effective_steps(path: ControlPath, settings: PropagationSettings,
                      t_end: float) -> int:
     """Step count keeping dt <= min(1/spu, 0.1/max r).
 
-    Raises ValueError when the count exceeds MAX_STEPS, before any step is
-    allocated; the comparison runs in floats, so an infinite count gets the
-    same error.
+    Raises StepLimitError when the count exceeds MAX_STEPS, before any step
+    is allocated; the comparison runs in floats, so an infinite count gets
+    the same error.
     """
     rr = path.radius(np.linspace(0.0, 1.0, 257))
     # A non-finite radius is reported by _propagate, with the step it hits.
@@ -108,8 +139,8 @@ def _effective_steps(path: ControlPath, settings: PropagationSettings,
     per_unit = max(settings.steps_per_unit_time, int(np.ceil(10.0 * r_max)))
     count = np.ceil(t_end * per_unit)
     if not count <= MAX_STEPS:
-        raise ValueError(f"{count:.6g} time steps exceed the limit of "
-                         f"MAX_STEPS = {MAX_STEPS}")
+        raise StepLimitError(f"{count:.6g} time steps exceed the limit of "
+                             f"MAX_STEPS = {MAX_STEPS}")
     return max(4, int(count))
 
 
@@ -142,8 +173,8 @@ def evolve_to_nominal(path: ControlPath, settings: PropagationSettings,
     n = _effective_steps(path, settings, t_nominal)
     dt = t_nominal / n
     t_mid = (np.arange(n) + 0.5) * dt
-    q = tripod.step_unitaries(path.x(t_mid / period), dt, form="quaternion").T
-    return _propagate(q, q * _CONJ[:, None], t_mid)
+    q = _pair(tripod.step_unitaries(path.x(t_mid / period), dt, form="quaternion"))
+    return _propagate(q, _conj(q), t_mid)
 
 
 def evolve_moving(path: ControlPath, settings: PropagationSettings) -> np.ndarray:
@@ -166,20 +197,24 @@ def evolve_moving(path: ControlPath, settings: PropagationSettings) -> np.ndarra
 
     rho = -0.5 * eps * dt * tripod.frame_angular_velocity(path, s_mid)
     angle = np.linalg.norm(rho, axis=1)
-    p = np.empty((4, n))
-    p[0] = np.cos(0.5 * angle)
-    # sin(a/2)/a written through sinc for small angles.
-    p[1:] = rho.T * (0.5 * np.sinc(angle / (2.0 * np.pi)))
+    # p as the pair (cos(a/2) + i s rho_x, s rho_y + i s rho_z), with
+    # s = sin(a/2)/a written through sinc for small angles.
+    scale = 0.5 * np.sinc(angle / (2.0 * np.pi))
+    p = np.empty((2, n), dtype=complex)
+    p[0].real = np.cos(0.5 * angle)
+    p[0].imag = rho[:, 0] * scale
+    p[1].real = rho[:, 1] * scale
+    p[1].imag = rho[:, 2] * scale
 
     x0 = path.x(0.0)
     alpha = path.radius(s_mid) / float(path.radius(0.0))
-    q = np.ascontiguousarray(tripod.step_unitaries(
-        np.broadcast_to(x0, (n, 3)), alpha * dt, form="quaternion").T)
+    q = _pair(tripod.step_unitaries(
+        np.broadcast_to(x0, (n, 3)), alpha * dt, form="quaternion"))
     # p q p and p conj(q) p share the part q0 p p and differ in the sign of
     # p q_vec p, with q_vec the vector part of q.
-    shared = q[0] * _hamilton(p, p)
-    q[0] = 0.0
-    vector = _hamilton(_hamilton(p, q), p)
+    shared = q[0].real * _qmul(p, p)
+    q[0].real = 0.0
+    vector = _qmul(_qmul(p, q), p)
     return _propagate(shared + vector, shared - vector, t_mid)
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tripodholo import cli
+from tripodholo import cli, noise, tripod
 
 MINIMAL_GATE = """\
 [path]
@@ -373,4 +373,38 @@ def test_gate_step_count_past_the_ceiling_is_a_config_error(tmp_path, capsys):
     cfg.write_text(MINIMAL_GATE.replace("epsilon = 0.05", "epsilon = 1e-9"),
                    encoding="utf-8")
     assert cli.main(["gate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "MAX_STEPS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand, experiment", [
+    ("timing", "t0_grid = 1e9, 2e9, 4e9"),
+    ("convergence", "epsilon_grid = 1e-9, 0.01, 0.1"),
+    ("scaling", "epsilon_grid = 1e-9, 1e-8, 1e-7, 1e-6\nmode = full_propagation\nn = 100"),
+], ids=["timing", "convergence", "scaling"])
+def test_every_subcommand_maps_the_step_ceiling_to_a_config_error(
+        tmp_path, capsys, monkeypatch, subcommand, experiment):
+    def no_steps(*args, **kwargs):
+        raise AssertionError("steps were built")
+
+    monkeypatch.setattr(tripod, "step_unitaries", no_steps)
+    monkeypatch.setattr(noise, "sample_realization", no_steps)
+    cfg = tmp_path / "cfg.ini"
+    text = MINIMAL_GATE.replace("subcommand = gate", f"subcommand = {subcommand}")
+    cfg.write_text(text + experiment + "\n", encoding="utf-8")
+    assert cli.main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "MAX_STEPS" in capsys.readouterr().err
+
+
+def test_full_propagation_noise_mc_step_ceiling_is_a_config_error(
+        tmp_path, capsys, monkeypatch):
+    def no_noise(*args, **kwargs):
+        raise AssertionError("noise was drawn")
+
+    monkeypatch.setattr(noise, "sample_realization", no_noise)
+    cfg = tmp_path / "cfg.ini"
+    text = (MINIMAL_GATE.replace("epsilon = 0.05", "epsilon = 1e-9")
+            .replace("subcommand = gate", "subcommand = noise-mc"))
+    cfg.write_text(text + "mode = full_propagation\nn = 100\n\n[noise]\nsigma = 0.01\n",
+                   encoding="utf-8")
+    assert cli.main(["noise-mc", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "MAX_STEPS" in capsys.readouterr().err

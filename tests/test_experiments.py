@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -295,3 +297,16 @@ def test_full_propagation_step_ceiling_trips_before_any_noise(monkeypatch):
     spec = NoiseSpec.uniform(0.01, 0.1, seed=0)
     with pytest.raises(ValueError, match="MAX_STEPS"):
         mc_delta(EQUATOR, spec, 1e-9, 4, "full_propagation", workers=1)
+
+
+def test_first_order_interval_engine_builds_no_dense_grid():
+    # At epsilon 1e-4 and tau 0.1 the dense grid would hold 1e6 intervals
+    # (16 MB with s = grid / period); the interval engine reads neither.
+    spec = NoiseSpec.uniform(0.01, 0.1, seed=3)
+    tracemalloc.start()
+    try:
+        mc_delta(EQUATOR, spec, 1e-4, 4, "first_order", workers=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6

@@ -21,7 +21,17 @@ from tripodholo import (
     timing_mismatch_error,
 )
 from tripodholo.paths import Profile
-from tripodholo.propagator import MAX_STEPS, _effective_steps, dark_basis_matrix
+from tripodholo.propagator import (
+    MAX_STEPS,
+    _conj,
+    _effective_steps,
+    _pair,
+    _qmul,
+    _unpair,
+    dark_basis_matrix,
+)
+
+from oracles import hamilton
 
 
 def constant_path(theta0=1.1, phi0=0.4, r0=1.3):
@@ -238,3 +248,24 @@ def test_step_count_above_the_ceiling_is_rejected_before_allocation():
     with pytest.raises(ValueError, match="inf time steps exceed"):
         evolve_lab(path, PropagationSettings(epsilon=1e-320))
     assert _effective_steps(path, PropagationSettings(epsilon=1.0), MAX_STEPS / 20) == MAX_STEPS
+
+
+def test_complex_pair_product_matches_real_hamilton_product():
+    rng = np.random.default_rng(7)
+    p, q = rng.standard_normal((2, 200, 4))
+    p /= np.linalg.norm(p, axis=1)[:, None]
+    q /= np.linalg.norm(q, axis=1)[:, None]
+    pq = np.array([hamilton(a, b) for a, b in zip(p, q)])
+    qp = np.array([hamilton(b, a) for a, b in zip(p, q)])
+    # The product does not commute, so an operand swap cannot pass.
+    assert np.min(np.linalg.norm(pq - qp, axis=1)) > 1e-3
+    assert np.max(np.abs(_unpair(_qmul(_pair(p), _pair(q))) - pq)) < 1e-15
+    assert np.max(np.abs(_unpair(_qmul(_pair(q), _pair(p))) - qp)) < 1e-15
+
+
+def test_complex_pair_round_trip_and_conjugate():
+    q = np.random.default_rng(8).standard_normal((50, 4))
+    z = _pair(q)
+    assert np.array_equal(z, np.stack([q[:, 0] + 1j * q[:, 1], q[:, 2] + 1j * q[:, 3]]))
+    assert np.array_equal(_unpair(z), q)
+    assert np.array_equal(_unpair(_conj(z)), q * np.array([1.0, -1.0, -1.0, -1.0]))
