@@ -5,14 +5,6 @@ dark-plane gate with the closed-form rotation by the loop's solid angle;
 study how parametric noise and timing mismatch degrade it.
 """
 
-from .algebra import (
-    DEFAULT_TOL,
-    frobenius_distance,
-    is_hermitian,
-    is_normalized,
-    is_unitary,
-    projector_from_vectors,
-)
 from .experiments import (
     MCResult,
     PowerLawFit,
@@ -49,14 +41,12 @@ from .noise import (
 from .paths import (
     ControlPath,
     Harmonics,
-    PathSamples,
     Profile,
     arc_length,
     fourier_path,
     latitude_loop,
     lune_path,
     perturb,
-    sample,
 )
 from .propagator import (
     ExtractedGate,
@@ -78,7 +68,6 @@ from .tripod import (
     r_rotation,
     rotation_generator,
     spectral,
-    step_unitary,
 )
 
 __version__ = "0.1.0"

@@ -1,7 +1,7 @@
 """Experiment runner: declarative configs in, deterministic artifacts out.
 
 Configs are INI-style sections of key = value lines with flat types only
-(numbers, strings, comma-separated number lists). Every run writes a
+(finite numbers, strings, comma-separated number lists). Every run writes a
 summary.json (schema_version 1), CSV data files with a fixed header, and
 two-column plot-data files for fitted laws; all of them are byte-identical
 across reruns and worker-thread counts. Wall-clock metadata lives apart in
@@ -126,6 +126,8 @@ class _Section:
             value = float(item[0])
         except ValueError:
             self._fail(key, f"not a number: {item[0]!r}")
+        if not np.isfinite(value):
+            self._fail(key, f"must be finite, got {item[0]!r}")
         if minimum is not None and (value <= minimum if exclusive_min else value < minimum):
             self._fail(key, f"must be {'>' if exclusive_min else '>='} {minimum}")
         if maximum is not None and (value >= maximum if exclusive_max else value > maximum):
@@ -152,9 +154,12 @@ class _Section:
         if not text:
             return ()
         try:
-            return tuple(float(part) for part in text.split(","))
+            values = tuple(float(part) for part in text.split(","))
         except ValueError:
             self._fail(key, f"not a comma-separated number list: {item[0]!r}")
+        if not np.all(np.isfinite(values)):
+            self._fail(key, f"values must be finite, got {item[0]!r}")
+        return values
 
     def reject_unknown(self):
         for key, (_, lineno) in self.raw.items():
@@ -313,61 +318,6 @@ def _triple(sec: _Section, key: str, default):
     return values
 
 
-def serialize_config(config: RunConfig) -> str:
-    """Config text that parses back to an equal RunConfig."""
-    lines = ["[path]", f"family = {config.family}"]
-    if config.family == "latitude":
-        lines += [f"theta0 = {config.theta0!r}", f"r0 = {config.r0!r}"]
-    elif config.family == "lune":
-        lines += [f"dphi = {config.dphi!r}", f"delta = {config.delta!r}"]
-    else:
-        h = config.f_theta
-        lines += [f"theta_offset = {h.offset!r}",
-                  "theta_sin = " + ", ".join(repr(v) for v in h.sin),
-                  "theta_cos = " + ", ".join(repr(v) for v in h.cos)]
-        h = config.f_phi
-        lines += [f"phi_offset = {h.offset!r}",
-                  f"phi_winding = {int(round(h.slope / (2.0 * np.pi)))}",
-                  "phi_sin = " + ", ".join(repr(v) for v in h.sin),
-                  "phi_cos = " + ", ".join(repr(v) for v in h.cos)]
-        h = config.f_r
-        lines += [f"r_offset = {h.offset!r}", f"r_slope = {h.slope!r}",
-                  "r_sin = " + ", ".join(repr(v) for v in h.sin),
-                  "r_cos = " + ", ".join(repr(v) for v in h.cos)]
-    lines += [
-        "",
-        "[propagation]",
-        f"epsilon = {config.epsilon!r}",
-        f"steps_per_unit_time = {config.steps_per_unit_time}",
-        f"frame = {config.frame}",
-        "",
-        "[noise]",
-        "sigma = " + ", ".join(repr(v) for v in config.sigma),
-        "tau = " + ", ".join(repr(v) for v in config.tau),
-        f"pinning = {config.pinning}",
-        "",
-        "[experiment]",
-        f"subcommand = {config.subcommand}",
-        f"n = {config.n}",
-        f"mode = {config.mode}",
-        f"p = {config.p!r}",
-        f"q = {config.q!r}",
-        f"tau0 = {config.tau0!r}",
-        f"sigma0 = {config.sigma0!r}",
-        "epsilon_grid = " + ", ".join(repr(v) for v in config.epsilon_grid),
-        f"delta_t = {config.delta_t!r}",
-        "t0_grid = " + ", ".join(repr(v) for v in config.t0_grid),
-        f"seed = {config.seed}",
-        "",
-        "[output]",
-        f"dir = {config.out_dir}",
-    ]
-    if config.tolerance is not None:
-        lines.insert(lines.index(f"seed = {config.seed}"),
-                     f"tolerance = {config.tolerance!r}")
-    return "\n".join(lines) + "\n"
-
-
 def build_path(config: RunConfig) -> paths.ControlPath:
     if config.family == "latitude":
         return paths.latitude_loop(config.theta0, config.r0)
@@ -494,13 +444,13 @@ def run(config: RunConfig) -> int:
         results["adiabaticity_lost"] = gate.adiabaticity_lost
         results["distance_to_ideal"] = float(np.linalg.norm(gate.block - ideal.matrix))
         checks.append(("leakage below 0.1", not gate.adiabaticity_lost))
-        samples = paths.sample(path, 256)
-        x = samples.x
+        s = np.linspace(0.0, 1.0, 257)
+        x = path.x(s)
         # Row by row, |x| = sqrt(x . x) bit for bit, as np.linalg.norm(row) is.
         r = np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
         _write_csv(out / "path_samples.csv",
                    ["s", "x1", "x2", "x3", "theta", "phi", "r"],
-                   np.column_stack([samples.s, x, samples.theta, samples.phi, r]).tolist())
+                   np.column_stack([s, x, path.theta(s), path.phi(s), r]).tolist())
 
     elif config.subcommand == "holonomy":
         s = np.linspace(0.0, 1.0, 513)

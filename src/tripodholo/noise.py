@@ -40,18 +40,15 @@ class NoiseSpec:
     def __post_init__(self):
         object.__setattr__(self, "sigma", _as_triple(self.sigma))
         object.__setattr__(self, "tau", _as_triple(self.tau))
+        for name in ("sigma", "tau"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} components must be finite")
         if any(s < 0 for s in self.sigma):
             raise ValueError("sigma components must be nonnegative")
         if any(t <= 0 for t in self.tau):
             raise ValueError("tau components must be positive")
         if self.pinning not in PINNING_MODES:
             raise ValueError(f"pinning must be one of {PINNING_MODES}")
-
-    @property
-    def isotropic(self) -> bool:
-        """True when all axes carry the same white-noise intensity tau*sigma^2."""
-        w = [t * s * s for t, s in zip(self.tau, self.sigma)]
-        return max(w) - min(w) <= 1e-12 * max(max(w), 1e-300)
 
     @classmethod
     def uniform(cls, sigma: float, tau: float, pinning: str = "endpoint-ramp",
@@ -67,14 +64,6 @@ class NoiseRealization:
     dx: np.ndarray
     spec: NoiseSpec
     index: int
-
-    def to_csv(self, path) -> None:
-        """Write (t, dx1, dx2, dx3) rows for inspection."""
-        lines = ["t,dx1,dx2,dx3"]
-        for t, row in zip(self.grid, self.dx):
-            lines.append(",".join(repr(float(v)) for v in (t, *row)))
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
 
 
 def sample_realization(spec: NoiseSpec, grid, index: int) -> NoiseRealization:

@@ -147,13 +147,6 @@ class ControlPath:
         ephi = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
         return thd[..., None] * etheta + (phd * st)[..., None] * ephi
 
-    def xdot(self, s):
-        """d x/ds = r' x^ + r d x^/ds."""
-        s = np.asarray(s, dtype=float)
-        rd = self.radius.derivative(s)
-        r = self.radius(s)
-        return rd[..., None] * self.xhat(s) + r[..., None] * self.xhat_dot(s)
-
 
 def latitude_loop(theta0: float, r0: float = 1.0) -> ControlPath:
     """Circle of latitude theta0 traversed once at constant speed and norm."""
@@ -276,36 +269,6 @@ def fourier_path(theta_coeffs: Harmonics, phi_coeffs: Harmonics,
         radius=r_coeffs.profile(),
         name="fourier",
         params={"theta": theta_coeffs, "phi": phi_coeffs, "r": r_coeffs},
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class PathSamples:
-    """Uniform-grid samples of a path and its derivatives."""
-
-    s: np.ndarray
-    x: np.ndarray
-    xdot: np.ndarray
-    theta: np.ndarray
-    phi: np.ndarray
-    phidot: np.ndarray
-    costheta: np.ndarray
-
-
-def sample(path: ControlPath, n: int) -> PathSamples:
-    """Sample the path on n+1 uniformly spaced points of [0, 1]."""
-    if n < 4:
-        raise ValueError("need at least 4 grid intervals")
-    s = np.linspace(0.0, 1.0, int(n) + 1)
-    th = path.theta(s)
-    return PathSamples(
-        s=s,
-        x=path.x(s),
-        xdot=path.xdot(s),
-        theta=th,
-        phi=path.phi(s),
-        phidot=path.phi.derivative(s),
-        costheta=np.cos(th),
     )
 
 

@@ -38,8 +38,8 @@ class PropagationSettings:
     frame: str = "lab"
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ValueError("epsilon must be positive and finite")
         if self.steps_per_unit_time < 1:
             raise ValueError("steps_per_unit_time must be at least 1")
         if self.frame not in ("lab", "moving"):
@@ -173,7 +173,7 @@ def evolve_to_nominal(path: ControlPath, settings: PropagationSettings,
     n = _effective_steps(path, settings, t_nominal)
     dt = t_nominal / n
     t_mid = (np.arange(n) + 0.5) * dt
-    q = _pair(tripod.step_unitaries(path.x(t_mid / period), dt, form="quaternion"))
+    q = _pair(tripod.step_unitaries(path.x(t_mid / period), dt))
     return _propagate(q, _conj(q), t_mid)
 
 
@@ -208,8 +208,7 @@ def evolve_moving(path: ControlPath, settings: PropagationSettings) -> np.ndarra
 
     x0 = path.x(0.0)
     alpha = path.radius(s_mid) / float(path.radius(0.0))
-    q = _pair(tripod.step_unitaries(
-        np.broadcast_to(x0, (n, 3)), alpha * dt, form="quaternion"))
+    q = _pair(tripod.step_unitaries(np.broadcast_to(x0, (n, 3)), alpha * dt))
     # p q p and p conj(q) p share the part q0 p p and differ in the sign of
     # p q_vec p, with q_vec the vector part of q.
     shared = q[0].real * _qmul(p, p)

@@ -176,54 +176,20 @@ def frame_angular_velocity(path, s) -> np.ndarray:
     return v @ d0
 
 
-def step_unitary(x, dt: float) -> np.ndarray:
-    """Exact exponential exp(-i H(x) dt) from the closed-form spectrum.
+def step_unitaries(xs, dts) -> np.ndarray:
+    """Exact steps exp(-i H(x) dt) as (n, 4) real unit quaternions.
 
-    Zero drive returns the identity. The result is unitary to machine
-    precision and commutes with H(x).
-    """
-    return step_unitaries(np.asarray(x, dtype=float)[None, :], float(dt))[0]
-
-
-def step_unitaries(xs, dts, *, form: str = "matrix") -> np.ndarray:
-    """Batched step_unitary: xs has shape (n, 3), dts scalar or shape (n,).
-
-    form="matrix" returns the (n, 4, 4) complex steps, from
-    exp(-iH dt) = 1 + (cos(r dt) - 1)(u u^T + e0 e0^T)
-    - i sin(r dt)(u e0^T + e0 u^T) with u the embedded drive direction.
-
-    form="quaternion" returns the same steps as (n, 4) real unit quaternions
+    xs has shape (n, 3), dts is a scalar or has shape (n,). Each row is
     q = cos(r dt/2) - sin(r dt/2) x^, components (1, i, j, k); zero drive
     gives q = 1. With Q = diag(1, i, i, i), the real rotation
     Q^-1 exp(-iH dt) Q acts on v = v0 + v1 i + v2 j + v3 k as v -> q v q.
     """
-    if form not in ("matrix", "quaternion"):
-        raise ValueError("form must be 'matrix' or 'quaternion'")
     xs = np.asarray(xs, dtype=float)
     n = xs.shape[0]
     dts = np.broadcast_to(np.asarray(dts, dtype=float), (n,))
-    if form == "quaternion":
-        r = np.sqrt(np.einsum("ni,ni->n", xs, xs))
-        half = 0.5 * r * dts
-        out = np.empty((n, 4))
-        out[:, 0] = np.cos(half)
-        out[:, 1:] = xs * (-np.sin(half) / np.where(r > 0.0, r, 1.0))[:, None]
-        return out
-    r = np.linalg.norm(xs, axis=1)
-    r_safe = np.where(r > 0.0, r, 1.0)
-    u = np.zeros((n, 4))
-    u[:, 1:] = xs / r_safe[:, None]
-    e0 = np.zeros(4)
-    e0[0] = 1.0
-    uu = np.einsum("ni,nj->nij", u, u)
-    ue = np.einsum("ni,j->nij", u, e0)
-    eu = np.einsum("i,nj->nij", e0, u)
-    ee = np.outer(e0, e0)
-    phase = r * dts
-    c = (np.cos(phase) - 1.0)[:, None, None]
-    s = np.sin(phase)[:, None, None]
-    out = np.zeros((n, 4, 4), dtype=complex)
-    out[:] = np.eye(4)
-    out += c * (uu + ee)
-    out += -1j * s * (ue + eu)
+    r = np.sqrt(np.einsum("ni,ni->n", xs, xs))
+    half = 0.5 * r * dts
+    out = np.empty((n, 4))
+    out[:, 0] = np.cos(half)
+    out[:, 1:] = xs * (-np.sin(half) / np.where(r > 0.0, r, 1.0))[:, None]
     return out

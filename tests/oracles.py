@@ -1,8 +1,11 @@
 """Independent numerical oracles used by the tests.
 
-These deliberately avoid the library's own closed-form routes: brute-force
-series exponentials and dense-grid quadrature, accurate enough to check
-against but built from nothing smarter than Taylor and trapezoid.
+These deliberately avoid the library's own routes: brute-force series
+exponentials, dense-grid quadrature, the Hamilton product written term by
+term, and the tripod steps as closed-form 4x4 complex matrices
+(step_matrices), which the library itself only ever builds as quaternions.
+None of them imports tripodholo; test_oracles_import_nothing_from_the_library
+checks that.
 """
 
 import numpy as np
@@ -39,3 +42,39 @@ def hamilton(p, q) -> np.ndarray:
         p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1,
         p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0,
     ])
+
+
+def step_matrices(xs, dts) -> np.ndarray:
+    """Closed-form tripod steps exp(-i H(x) dt) as (n, 4, 4) complex matrices.
+
+    xs has shape (n, 3), dts is a scalar or has shape (n,). With u the
+    embedded drive direction and e0 the ground level,
+    exp(-iH dt) = 1 + (cos(r dt) - 1)(u u^T + e0 e0^T) - i sin(r dt)(u e0^T + e0 u^T);
+    zero drive gives the identity.
+    """
+    xs = np.asarray(xs, dtype=float)
+    n = xs.shape[0]
+    dts = np.broadcast_to(np.asarray(dts, dtype=float), (n,))
+    r = np.linalg.norm(xs, axis=1)
+    r_safe = np.where(r > 0.0, r, 1.0)
+    u = np.zeros((n, 4))
+    u[:, 1:] = xs / r_safe[:, None]
+    e0 = np.zeros(4)
+    e0[0] = 1.0
+    uu = np.einsum("ni,nj->nij", u, u)
+    ue = np.einsum("ni,j->nij", u, e0)
+    eu = np.einsum("i,nj->nij", e0, u)
+    ee = np.outer(e0, e0)
+    phase = r * dts
+    c = (np.cos(phase) - 1.0)[:, None, None]
+    s = np.sin(phase)[:, None, None]
+    out = np.zeros((n, 4, 4), dtype=complex)
+    out[:] = np.eye(4)
+    out += c * (uu + ee)
+    out += -1j * s * (ue + eu)
+    return out
+
+
+def step_matrix(x, dt: float) -> np.ndarray:
+    """One closed-form step exp(-i H(x) dt) as a 4x4 complex matrix."""
+    return step_matrices(np.asarray(x, dtype=float)[None, :], float(dt))[0]

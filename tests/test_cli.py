@@ -1,11 +1,12 @@
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tripodholo import cli, noise, tripod
+from tripodholo import cli, noise, paths, tripod
 
 MINIMAL_GATE = """\
 [path]
@@ -80,10 +81,10 @@ def test_parse_grid_conflicts():
         cli.parse_config(half)
 
 
-def test_roundtrip_all_families():
-    for extra in (
-        MINIMAL_GATE,
-        """\
+def test_parse_all_families():
+    config = cli.parse_config(MINIMAL_GATE)
+    assert (config.family, config.theta0, config.r0) == ("latitude", 1.0471975511965976, 1.0)
+    config = cli.parse_config("""\
 [path]
 family = lune
 dphi = 1.2
@@ -91,8 +92,10 @@ delta = 0.01
 
 [experiment]
 subcommand = holonomy
-""",
-        """\
+""")
+    assert (config.subcommand, config.family) == ("holonomy", "lune")
+    assert (config.dphi, config.delta) == (1.2, 0.01)
+    config = cli.parse_config("""\
 [path]
 family = fourier
 theta_offset = 1.2
@@ -111,10 +114,23 @@ subcommand = noise-mc
 n = 150
 mode = first_order
 seed = 9
-""",
-    ):
-        config = cli.parse_config(extra)
-        assert cli.parse_config(cli.serialize_config(config)) == config
+""")
+    assert config.family == "fourier"
+    assert config.f_theta == paths.Harmonics(offset=1.2, sin=(0.25,))
+    assert config.f_phi == paths.Harmonics(offset=0.0, slope=2.0 * np.pi, sin=(0.2,))
+    assert config.f_r == paths.Harmonics(offset=1.0, slope=0.5)
+    assert config.sigma == (0.01, 0.02, 0.0)
+    assert config.tau == (0.3, 0.3, 0.3)
+    assert (config.subcommand, config.n, config.mode, config.seed) == (
+        "noise-mc", 150, "first_order", 9)
+
+
+def test_readme_example_configs_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.DOTALL)
+    assert blocks
+    for block in blocks:
+        cli.parse_config(block)
 
 
 def test_gate_run_artifacts(tmp_path):
@@ -128,9 +144,12 @@ def test_gate_run_artifacts(tmp_path):
     assert abs(abs(res["omega_canonical"]) - np.pi) < 1e-8
     assert res["leakage"] < 0.01
     assert res["distance_to_ideal"] < 0.05
-    assert (tmp_path / "gate" / "path_samples.csv").exists()
-    header = (tmp_path / "gate" / "path_samples.csv").read_text().splitlines()[0]
-    assert header == "s,x1,x2,x3,theta,phi,r"
+    lines = (tmp_path / "gate" / "path_samples.csv").read_text().splitlines()
+    assert lines[0] == "s,x1,x2,x3,theta,phi,r"
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    assert rows.shape == (257, 7)
+    assert np.array_equal(rows[:, 0], np.linspace(0.0, 1.0, 257))
+    assert np.allclose(rows[:, 6], config.r0, rtol=0.0, atol=1e-15)
     meta = json.loads((tmp_path / "gate" / "run_meta.json").read_text())
     assert "timestamp_utc" in meta
     assert "timestamp_utc" not in json.dumps(summary)
@@ -408,3 +427,22 @@ def test_full_propagation_noise_mc_step_ceiling_is_a_config_error(
                    encoding="utf-8")
     assert cli.main(["noise-mc", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "MAX_STEPS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand, old, new, key", [
+    ("gate", "epsilon = 0.05", "epsilon = inf", "epsilon"),
+    ("gate", "epsilon = 0.05", "epsilon = nan", "epsilon"),
+    ("noise-mc", "[experiment]", "[noise]\nsigma = nan\n\n[experiment]", "sigma"),
+    ("noise-mc", "[experiment]", "[noise]\nsigma = 0.01\ntau = inf\n\n[experiment]", "tau"),
+    ("timing", "[experiment]", "[experiment]\ndelta_t = nan", "delta_t"),
+    ("gate", "theta0 = 1.0471975511965976", "theta0 = nan", "theta0"),
+], ids=["epsilon-inf", "epsilon-nan", "sigma-nan", "tau-inf", "delta_t-nan", "theta0-nan"])
+def test_non_finite_config_values_are_config_errors(tmp_path, capsys, subcommand,
+                                                    old, new, key):
+    cfg = tmp_path / "cfg.ini"
+    text = MINIMAL_GATE.replace("subcommand = gate", f"subcommand = {subcommand}")
+    cfg.write_text(text.replace(old, new), encoding="utf-8")
+    assert cli.main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert key in err
+    assert "finite" in err

@@ -11,7 +11,6 @@ from tripodholo import (
     latitude_loop,
     lune_path,
     perturb,
-    sample,
     sample_realization,
 )
 
@@ -105,19 +104,6 @@ def test_fourier_path_rejects_bad_phi_and_r():
         )
 
 
-def test_sample_grid_and_norms():
-    path = latitude_loop(np.pi / 2, 1.0)
-    ps = sample(path, 4)
-    expected = np.array([[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0], [1, 0, 0]],
-                        dtype=float)
-    assert np.allclose(ps.x, expected, atol=1e-12)
-    path = latitude_loop(1.2, 1.7)
-    ps = sample(path, 64)
-    assert np.allclose(np.linalg.norm(ps.x, axis=1), path.radius(ps.s))
-    with pytest.raises(ValueError):
-        sample(path, 2)
-
-
 def test_sample_derivative_consistency_and_convergence():
     path = fourier_path(
         Harmonics(offset=1.3, sin=(0.2,), cos=(0.0, 0.05)),
@@ -126,10 +112,10 @@ def test_sample_derivative_consistency_and_convergence():
     )
 
     def max_fd_error(n):
-        ps = sample(path, n)
-        h = ps.s[1] - ps.s[0]
-        fd = (ps.x[2:] - ps.x[:-2]) / (2 * h)
-        return float(np.max(np.abs(fd - ps.xdot[1:-1])))
+        s = np.linspace(0.0, 1.0, n + 1)
+        xhat = path.xhat(s)
+        fd = (xhat[2:] - xhat[:-2]) / (2 * (s[1] - s[0]))
+        return float(np.max(np.abs(fd - path.xhat_dot(s[1:-1]))))
 
     e1, e2 = max_fd_error(256), max_fd_error(512)
     assert 3.0 < e1 / e2 < 5.0

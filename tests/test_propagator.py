@@ -17,7 +17,6 @@ from tripodholo import (
     lune_path,
     r_rotation,
     solid_angle,
-    step_unitary,
     timing_mismatch_error,
 )
 from tripodholo.paths import Profile
@@ -31,7 +30,7 @@ from tripodholo.propagator import (
     dark_basis_matrix,
 )
 
-from oracles import hamilton
+from oracles import hamilton, step_matrix
 
 
 def constant_path(theta0=1.1, phi0=0.4, r0=1.3):
@@ -52,6 +51,9 @@ GENERIC_FOURIER = fourier_path(
 def test_settings_validation():
     with pytest.raises(ValueError):
         PropagationSettings(epsilon=0.0)
+    for epsilon in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            PropagationSettings(epsilon=epsilon)
     with pytest.raises(ValueError):
         PropagationSettings(epsilon=0.1, steps_per_unit_time=0)
     with pytest.raises(ValueError):
@@ -62,7 +64,7 @@ def test_constant_path_matches_single_step():
     path = constant_path()
     settings = PropagationSettings(epsilon=0.1)
     u = evolve_lab(path, settings)
-    expected = step_unitary(path.x(0.0), 10.0)
+    expected = step_matrix(path.x(0.0), 10.0)
     assert np.linalg.norm(u - expected) < 1e-12
     v = evolve_moving(path, settings)
     assert np.linalg.norm(v - expected) < 1e-12

