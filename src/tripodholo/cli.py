@@ -427,7 +427,7 @@ def run(config: RunConfig) -> int:
         results["omega_area"] = report.omega_area
         results["winding"] = report.winding
         results["omega_canonical"] = report.omega_canonical
-        results["arc_length"] = holonomy.arc_length(path)
+        results["arc_length"] = report.arc_length
         results["ideal_gate"] = [[float(v) for v in row] for row in ideal.matrix]
 
     if config.subcommand == "gate":
@@ -607,9 +607,9 @@ def main(argv=None) -> int:
         if args.seed is not None:
             if args.seed < 0:
                 raise ConfigError("--seed must be nonnegative")
-            config = _replace(config, seed=args.seed)
+            config = replace(config, seed=args.seed)
         if args.out is not None:
-            config = _replace(config, out_dir=args.out)
+            config = replace(config, out_dir=args.out)
         return run(config)
     except (ConfigError, propagator.StepLimitError) as exc:
         # A step count past MAX_STEPS comes from the config's epsilon or
@@ -619,10 +619,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
-
-
-def _replace(config: RunConfig, **kw) -> RunConfig:
-    return replace(config, **kw)
 
 
 if __name__ == "__main__":

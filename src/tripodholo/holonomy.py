@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tripod
-from .paths import ControlPath, arc_length
+from .paths import ControlPath, arc_length, shadow_speed
 from .quadrature import integrate_path
 
 
@@ -48,17 +48,20 @@ class SolidAngleReport:
     produces; omega_area integrates (1 - cos(theta)) dphi, the area form of
     the vector-potential picture. They differ by 2 pi times the winding
     number, so the gate matrix is identical either way. omega_canonical is
-    omega_cos reduced to (-pi, pi] for reporting.
+    omega_cos reduced to (-pi, pi] for reporting. arc_length is the length
+    of the loop's unit-sphere shadow, as paths.arc_length gives it.
     """
 
     omega_cos: float
     omega_area: float
     winding: int
     omega_canonical: float
+    arc_length: float
 
 
 def solid_angle(path: ControlPath) -> SolidAngleReport:
-    """Both solid-angle forms, from one quadrature call, plus the winding number."""
+    """Both solid-angle forms and the shadow's arc length, from one
+    quadrature call, plus the winding number."""
     dense = path.grid if path.grid is not None else np.linspace(0.0, 1.0, 2049)
     th = path.theta(dense)
     if np.min(th) <= 0.0 or np.max(th) >= np.pi:
@@ -67,16 +70,19 @@ def solid_angle(path: ControlPath) -> SolidAngleReport:
         )
 
     def forms(s):
-        c = np.cos(path.theta(s))
+        theta = path.theta(s)
+        c = np.cos(theta)
         phid = path.phi.derivative(s)
-        return np.stack([c * phid, (1.0 - c) * phid])
+        return np.stack([c * phid, (1.0 - c) * phid,
+                         shadow_speed(theta, path.theta.derivative(s), phid)])
 
-    omega_cos, omega_area = (float(v) for v in integrate_path(path, forms))
+    omega_cos, omega_area, length = (float(v) for v in integrate_path(path, forms))
     return SolidAngleReport(
         omega_cos=omega_cos,
         omega_area=omega_area,
         winding=path.winding,
         omega_canonical=canonical_angle(omega_cos),
+        arc_length=length,
     )
 
 

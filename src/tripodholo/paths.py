@@ -313,14 +313,19 @@ def perturb(path: ControlPath, realization) -> ControlPath:
     )
 
 
+def shadow_speed(theta, theta_dot, phi_dot):
+    """Speed |d x^/ds| = sqrt(theta'^2 + (sin(theta) phi')^2) of the
+    unit-sphere shadow, from theta and the derivatives theta', phi' at the
+    same points."""
+    return np.sqrt(theta_dot ** 2 + (np.sin(theta) * phi_dot) ** 2)
+
+
 def arc_length(path: ControlPath) -> float:
     """Length of the unit-sphere shadow, invariant under reparametrization."""
     from .quadrature import integrate_path
 
     def speed(s):
-        th = path.theta(s)
-        thd = path.theta.derivative(s)
-        phd = path.phi.derivative(s)
-        return np.sqrt(thd ** 2 + (np.sin(th) * phd) ** 2)
+        return shadow_speed(path.theta(s), path.theta.derivative(s),
+                            path.phi.derivative(s))
 
     return integrate_path(path, speed)

@@ -3,6 +3,7 @@ PASS/FAIL line with its headline numbers and runtime."""
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -305,7 +306,7 @@ seed = 4
         for workers in ("1", "2", "8"):
             monkeypatch.setenv("THREADS", workers)
             out = tmp_path / f"{name}_{workers}"
-            config = cli._replace(cli.parse_config(cfg_text), out_dir=str(out))
+            config = replace(cli.parse_config(cfg_text), out_dir=str(out))
             assert cli.run(config) == 0
             payloads.append(tuple((out / f).read_bytes() for f in files))
         all_equal = all_equal and payloads[0] == payloads[1] == payloads[2]

@@ -1,12 +1,13 @@
 import json
 import os
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tripodholo import cli, noise, paths, tripod
+from tripodholo import cli, holonomy, noise, paths, quadrature, tripod
 
 MINIMAL_GATE = """\
 [path]
@@ -133,14 +134,26 @@ def test_readme_example_configs_parse():
         cli.parse_config(block)
 
 
-def test_gate_run_artifacts(tmp_path):
+def test_gate_run_artifacts(tmp_path, monkeypatch):
+    # One cubature call gives both solid-angle forms and the arc length.
+    integrals = []
+    integrate_path = quadrature.integrate_path
+
+    def counted(path, f):
+        integrals.append(path)
+        return integrate_path(path, f)
+
+    for module in (quadrature, holonomy):
+        monkeypatch.setattr(module, "integrate_path", counted)
     config = cli.parse_config(MINIMAL_GATE.replace("0.05", "0.0125"))
-    config = cli._replace(config, out_dir=str(tmp_path / "gate"))
+    config = replace(config, out_dir=str(tmp_path / "gate"))
     assert cli.run(config) == 0
+    assert len(integrals) == 1
     summary = json.loads((tmp_path / "gate" / "summary.json").read_text())
     res = summary["results"]
     assert summary["schema_version"] == 1
     assert res["omega_cos"] == pytest.approx(np.pi, abs=1e-8)
+    assert res["arc_length"] == pytest.approx(np.pi * np.sqrt(3.0), rel=1e-12)
     assert abs(abs(res["omega_canonical"]) - np.pi) < 1e-8
     assert res["leakage"] < 0.01
     assert res["distance_to_ideal"] < 0.05
@@ -159,7 +172,7 @@ def test_gate_leakage_exit_code(tmp_path):
     text = MINIMAL_GATE.replace("theta0 = 1.0471975511965976",
                                 "theta0 = 1.5707963267948966")
     config = cli.parse_config(text)  # equator at eps = 0.05 leaks > 0.1
-    config = cli._replace(config, out_dir=str(tmp_path / "leaky"))
+    config = replace(config, out_dir=str(tmp_path / "leaky"))
     assert cli.run(config) == 3
     summary = json.loads((tmp_path / "leaky" / "summary.json").read_text())
     assert summary["results"]["adiabaticity_lost"] is True
@@ -175,7 +188,7 @@ delta = 0.0001
 [experiment]
 subcommand = holonomy
 """
-    config = cli._replace(cli.parse_config(text), out_dir=str(tmp_path / "hol"))
+    config = replace(cli.parse_config(text), out_dir=str(tmp_path / "hol"))
     assert cli.run(config) == 0
     res = json.loads((tmp_path / "hol" / "summary.json").read_text())["results"]
     assert res["omega_cos"] == pytest.approx(-np.pi / 2, abs=1e-6)
@@ -206,7 +219,7 @@ seed = 12
     for workers in ("1", "2", "8"):
         monkeypatch.setenv("THREADS", workers)
         out = tmp_path / f"mc{workers}"
-        config = cli._replace(cli.parse_config(text), out_dir=str(out))
+        config = replace(cli.parse_config(text), out_dir=str(out))
         assert cli.run(config) == 0
         payloads[workers] = (
             (out / "summary.json").read_bytes(),
@@ -219,8 +232,8 @@ def test_rerun_byte_identical(tmp_path):
     config = cli.parse_config(MINIMAL_GATE)
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
-    assert cli.run(cli._replace(config, out_dir=str(out_a))) == 0
-    assert cli.run(cli._replace(config, out_dir=str(out_b))) == 0
+    assert cli.run(replace(config, out_dir=str(out_a))) == 0
+    assert cli.run(replace(config, out_dir=str(out_b))) == 0
     assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
     assert (out_a / "path_samples.csv").read_bytes() == (out_b / "path_samples.csv").read_bytes()
 
@@ -239,7 +252,7 @@ t0_grid = 100, 200, 400
 [output]
 dir = unused
 """
-    config = cli._replace(cli.parse_config(text), out_dir=str(tmp_path / "tim"))
+    config = replace(cli.parse_config(text), out_dir=str(tmp_path / "tim"))
     assert cli.run(config) == 0
     res = json.loads((tmp_path / "tim" / "summary.json").read_text())["results"]
     assert res["fit"]["exponent"] == pytest.approx(-1.0, abs=0.2)
@@ -258,7 +271,7 @@ theta0 = 1.0471975511965976
 subcommand = convergence
 epsilon_grid = 0.2, 0.1, 0.05
 """
-    config = cli._replace(cli.parse_config(text), out_dir=str(tmp_path / "conv"))
+    config = replace(cli.parse_config(text), out_dir=str(tmp_path / "conv"))
     assert cli.run(config) == 0
     res = json.loads((tmp_path / "conv" / "summary.json").read_text())["results"]
     assert res["fit"]["exponent"] >= 0.8
@@ -279,7 +292,7 @@ epsilon_max = 0.1
 points_per_decade = 3
 seed = 4
 """
-    config = cli._replace(cli.parse_config(text), out_dir=str(tmp_path / "sc"))
+    config = replace(cli.parse_config(text), out_dir=str(tmp_path / "sc"))
     assert cli.run(config) == 0
     res = json.loads((tmp_path / "sc" / "summary.json").read_text())["results"]
     assert res["predicted_exponent"] == pytest.approx(1.25)
@@ -348,7 +361,7 @@ delta_t = 1.0
 t0_grid = 100, 200, 400
 tolerance = 0.0001
 """
-    config = cli._replace(cli.parse_config(text), out_dir=str(tmp_path / "t"))
+    config = replace(cli.parse_config(text), out_dir=str(tmp_path / "t"))
     status = cli.run(config)
     out = capsys.readouterr().out
     assert status == 3
@@ -373,7 +386,7 @@ epsilon_max = 0.1
 points_per_decade = 3
 seed = 4
 """
-    config = cli._replace(cli.parse_config(text), out_dir=str(tmp_path / "s"))
+    config = replace(cli.parse_config(text), out_dir=str(tmp_path / "s"))
     assert cli.run(config) == 0
     out = capsys.readouterr().out
     assert "(predicted 1.25)" in out

@@ -6,6 +6,7 @@ from tripodholo import (
     Harmonics,
     NoiseSpec,
     Profile,
+    arc_length,
     canonical_angle,
     connection,
     delta_omega_first_order,
@@ -17,6 +18,7 @@ from tripodholo import (
     lune_path,
     perturb,
     r_rotation,
+    sample_realization,
     solid_angle,
     spectral,
     thick_boundary_area,
@@ -66,6 +68,19 @@ def test_winding_identity_on_families():
         assert rep.omega_cos + rep.omega_area == pytest.approx(
             2 * np.pi * w, abs=1e-8)
         assert -np.pi < rep.omega_canonical <= np.pi
+
+
+def test_solid_angle_reports_the_arc_length_in_the_same_integral():
+    grid = np.linspace(0.0, 50.0, 2001)
+    real = sample_realization(NoiseSpec.uniform(0.02, 0.5, seed=5), grid, 0)
+    perturbed = perturb(GENERIC_FOURIER, real)
+    assert perturbed.grid is not None
+    for path in (latitude_loop(1.1), lune_path(np.pi / 2, 1e-3), GENERIC_FOURIER,
+                 perturbed):
+        assert solid_angle(path).arc_length == pytest.approx(arc_length(path),
+                                                             rel=0.0, abs=1e-12)
+    assert solid_angle(latitude_loop(1.1)).arc_length == pytest.approx(
+        2 * np.pi * np.sin(1.1), rel=1e-12)
 
 
 def test_solid_angle_rejects_pole():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from tripodholo import (
     solid_angle,
     timing_mismatch_error,
 )
+from tripodholo import propagator
 from tripodholo.paths import Profile
 from tripodholo.propagator import (
     MAX_STEPS,
@@ -186,11 +189,44 @@ def test_evolve_dispatches_on_frame():
                               route(GENERIC_FOURIER, settings))
 
 
-def test_non_finite_drive_is_rejected_at_its_first_step():
+def test_blocking_does_not_change_a_bit(monkeypatch):
+    # 10 500 steps: two blocks of the default size, or 164 blocks of 64 and
+    # a partial block of 4.
+    settings = PropagationSettings(epsilon=0.002, steps_per_unit_time=21)
+    assert _effective_steps(GENERIC_FOURIER, settings, 1.0 / settings.epsilon) % 64 == 4
+    routes = (evolve_lab, evolve_moving, lambda p, s: evolve_to_nominal(p, s, 0.5))
+    default = [route(GENERIC_FOURIER, settings) for route in routes]
+    monkeypatch.setattr(propagator, "BLOCK", 64)
+    for route, expected in zip(routes, default):
+        assert np.array_equal(route(GENERIC_FOURIER, settings), expected)
+
+
+def test_propagation_memory_does_not_grow_with_the_step_count():
+    def traced_peak(route, steps):
+        # GENERIC_FOURIER takes 20 steps per unit time.
+        settings = PropagationSettings(epsilon=20.0 / steps)
+        tracemalloc.start()
+        try:
+            route(GENERIC_FOURIER, settings)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for route in (evolve_lab, evolve_moving):
+        small = traced_peak(route, 40_000)
+        large = traced_peak(route, 160_000)
+        assert small < 5e6
+        assert large < 1.2 * small
+
+
+@pytest.mark.parametrize("block", [propagator.BLOCK, 64], ids=lambda b: f"block{b}")
+def test_non_finite_drive_is_rejected_at_its_first_step(monkeypatch, block):
     # The radius is NaN for 0.301 < s < 0.3015, a window between the points
     # of the constructor's check grid (k / 1024). At epsilon 0.05 there are
     # 400 steps of dt 0.05, so the first bad midpoint is t = 120.5 dt = 6.025;
     # a drive of period 20.5 reaches the window later, at t = 123.5 dt = 6.175.
+    # With blocks of 64 steps both lie in the second block.
+    monkeypatch.setattr(propagator, "BLOCK", block)
     path = ControlPath(
         theta=Profile(lambda s: np.full_like(s, 1.0)),
         phi=Profile(lambda s: 2 * np.pi * s),
