@@ -33,7 +33,6 @@ from .holonomy import (
 from .noise import (
     NoiseRealization,
     NoiseSpec,
-    empirical_autocovariance,
     predicted_exponent,
     sample_realization,
     scaling_params,

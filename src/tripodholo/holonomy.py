@@ -170,7 +170,12 @@ class ThickBoundaryReport:
 def thick_boundary_area(path: ControlPath, sigma: float, tau: float,
                         period: float) -> ThickBoundaryReport:
     """Strip area sigma*L, correlation length tau*L/period, and their product
-    with sigma, which reproduces the constant-speed variance tau sigma^2 L^2 / T."""
+    with sigma, which reproduces the constant-speed variance tau sigma^2 L^2 / T.
+
+    Reference physics: the paper's "thick boundary" reading of the variance,
+    kept for users and checked against delta_variance_analytic; no route of
+    the library calls it.
+    """
     length = arc_length(path)
     area = float(sigma) * length
     corr_length = float(tau) * length / float(period)

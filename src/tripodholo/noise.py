@@ -129,55 +129,6 @@ def _ramp(t: np.ndarray, width: float, total: float | None = None) -> np.ndarray
     return out
 
 
-def stationary_slice(spec: NoiseSpec, grid) -> slice:
-    """Index range of the grid that excludes the pinning ramps."""
-    t = np.asarray(grid, dtype=float)
-    if spec.pinning != "endpoint-ramp":
-        return slice(0, t.size)
-    width = RAMP_WIDTH_TAUS * max(spec.tau)
-    dt = t[1] - t[0]
-    k = int(np.ceil(width / dt)) + 1
-    if 2 * k >= t.size:
-        raise ValueError("grid too short to contain a stationary region")
-    return slice(k, t.size - k)
-
-
-def empirical_autocovariance(realizations, axis: int, lags):
-    """Ensemble lag-covariance estimates with standard errors.
-
-    axis is 1-based (matching the drive components). Each realization
-    contributes an unbiased zero-mean estimate over its stationary interior;
-    the returned standard errors are across the ensemble.
-    """
-    if axis not in (1, 2, 3):
-        raise ValueError("axis must be 1, 2 or 3")
-    if not realizations:
-        raise ValueError("need at least one realization")
-    col = axis - 1
-    first = realizations[0]
-    t = first.grid
-    dt = t[1] - t[0]
-    interior = stationary_slice(first.spec, t)
-    lag_steps = [int(round(float(lag) / dt)) for lag in np.atleast_1d(lags)]
-    span = interior.stop - interior.start
-    if max(lag_steps) >= span:
-        raise ValueError("lag exceeds the stationary region")
-    per_real = np.empty((len(realizations), len(lag_steps)))
-    for j, real in enumerate(realizations):
-        x = real.dx[interior, col]
-        for q, k in enumerate(lag_steps):
-            if k == 0:
-                per_real[j, q] = np.mean(x * x)
-            else:
-                per_real[j, q] = np.mean(x[:-k] * x[k:])
-    estimates = per_real.mean(axis=0)
-    if len(realizations) > 1:
-        stderr = per_real.std(axis=0, ddof=1) / np.sqrt(len(realizations))
-    else:
-        stderr = np.full(len(lag_steps), np.nan)
-    return estimates, stderr
-
-
 def scaling_params(epsilon: float, p: float, q: float, tau0: float,
                    sigma0: float) -> tuple[float, float]:
     """Noise parameters scaled with the adiabatic parameter:

@@ -95,11 +95,10 @@ class ControlPath:
 
     def __post_init__(self):
         dense = self.grid if self.grid is not None else np.linspace(0.0, 1.0, 1025)
-        th = self.theta(dense)
-        rr = self.radius(dense)
+        th, ph, rr = self.spherical(dense)
         # NaN compares False with everything, so the range checks below
         # would let a non-finite profile through.
-        for name, values in (("theta", th), ("phi", self.phi(dense)), ("radius", rr)):
+        for name, values in (("theta", th), ("phi", ph), ("radius", rr)):
             bad = ~np.isfinite(values)
             if np.any(bad):
                 raise ValueError(f"{name} profile is not finite at "
@@ -123,16 +122,18 @@ class ControlPath:
     def winding(self) -> int:
         return int(round((float(self.phi(1.0)) - float(self.phi(0.0))) / (2.0 * np.pi)))
 
-    def xhat(self, s):
+    def spherical(self, s):
+        """theta(s), phi(s) and r(s), the profiles x and xhat are built from."""
         s = np.asarray(s, dtype=float)
-        th = self.theta(s)
-        ph = self.phi(s)
-        st = np.sin(th)
-        return np.stack([st * np.cos(ph), st * np.sin(ph), np.cos(th)], axis=-1)
+        return self.theta(s), self.phi(s), self.radius(s)
+
+    def xhat(self, s):
+        th, ph, _ = self.spherical(s)
+        return _unit_vector(th, ph)
 
     def x(self, s):
-        s = np.asarray(s, dtype=float)
-        return self.radius(s)[..., None] * self.xhat(s)
+        th, ph, rr = self.spherical(s)
+        return rr[..., None] * _unit_vector(th, ph)
 
     def xhat_dot(self, s):
         """d x^/ds = theta' e_theta + phi' sin(theta) e_phi."""
@@ -146,6 +147,27 @@ class ControlPath:
         etheta = np.stack([ct * cp, ct * sp, -st], axis=-1)
         ephi = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
         return thd[..., None] * etheta + (phd * st)[..., None] * ephi
+
+
+def _unit_vector(th, ph):
+    st = np.sin(th)
+    return np.stack([st * np.cos(ph), st * np.sin(ph), np.cos(th)], axis=-1)
+
+
+@dataclass(frozen=True, eq=False)
+class _SplinePath(ControlPath):
+    """Path whose profiles are the columns of one vector spline of
+    (theta, phi, r), so spherical evaluates all three in one pass."""
+
+    spline: CubicSpline | None = None
+
+    def spherical(self, s):
+        v = self.spline(np.asarray(s, dtype=float))
+        return v[..., 0], v[..., 1], v[..., 2]
+
+
+def _column(f, k):
+    return lambda s: f(s)[..., k]
 
 
 def latitude_loop(theta0: float, r0: float = 1.0) -> ControlPath:
@@ -276,15 +298,23 @@ def perturb(path: ControlPath, realization) -> ControlPath:
     """Path with the realization's Cartesian perturbation added: x' = x + dx.
 
     The perturbed curve is re-expressed in spherical profiles (phi unwrapped
-    continuously) backed by cubic splines on the realization grid. The
-    realization must preserve unit-vector closure, which pinned noise does by
-    construction; perturbations that drive the curve near the origin
-    (|x'| < 0.1 min r) are rejected because the spectral gap would collapse.
+    continuously) backed by one vector cubic spline of (theta, phi, r) on the
+    realization grid; theta, phi and radius are its columns, and x and xhat
+    evaluate all three in one pass. The realization must be finite and
+    preserve unit-vector closure, which pinned noise does by construction;
+    perturbations that drive the curve near the origin (|x'| < 0.1 min r)
+    are rejected because the spectral gap would collapse.
     """
     t = np.asarray(realization.grid, dtype=float)
     dx = np.asarray(realization.dx, dtype=float)
     if dx.shape != (t.size, 3):
         raise ValueError("realization dx must have shape (len(grid), 3)")
+    # NaN compares False with everything, so the origin and closure checks
+    # below would let a non-finite realization through.
+    bad = ~np.all(np.isfinite(dx), axis=1)
+    if np.any(bad):
+        raise ValueError(f"realization dx is not finite at "
+                         f"t = {float(t[np.argmax(bad)]):.6g}")
     s = t / t[-1]
     x = path.x(s) + dx
     rr = np.linalg.norm(x, axis=1)
@@ -300,16 +330,16 @@ def perturb(path: ControlPath, realization) -> ControlPath:
     phi = np.unwrap(np.arctan2(xh[:, 1], xh[:, 0]))
     # Snap the endpoint so the winding bookkeeping stays exact under closure.
     phi[-1] = phi[0] + 2.0 * np.pi * round((phi[-1] - phi[0]) / (2.0 * np.pi))
-    sp_theta = CubicSpline(s, theta)
-    sp_phi = CubicSpline(s, phi)
-    sp_r = CubicSpline(s, rr)
-    return ControlPath(
-        theta=Profile(fn=sp_theta, dfn=sp_theta.derivative()),
-        phi=Profile(fn=sp_phi, dfn=sp_phi.derivative()),
-        radius=Profile(fn=sp_r, dfn=sp_r.derivative()),
+    # One banded solve with three right-hand sides: the coefficients equal
+    # those of three scalar fits bit for bit.
+    spline = CubicSpline(s, np.stack([theta, phi, rr], axis=-1))
+    slope = spline.derivative()
+    return _SplinePath(
+        *(Profile(fn=_column(spline, k), dfn=_column(slope, k)) for k in range(3)),
         name=path.name + "+noise",
         params=dict(path.params, realization=getattr(realization, "index", None)),
         grid=s,
+        spline=spline,
     )
 
 

@@ -3,12 +3,15 @@
 These deliberately avoid the library's own routes: brute-force series
 exponentials, dense-grid quadrature, the Hamilton product written term by
 term, and the tripod steps as closed-form 4x4 complex matrices
-(step_matrices), which the library itself only ever builds as quaternions.
+(step_matrices), which the library itself only ever builds as quaternions,
+and a perturbed path's profiles as three scalar cubic splines
+(spherical_splines), which the library fits as one vector spline.
 None of them imports tripodholo; test_oracles_import_nothing_from_the_library
 checks that.
 """
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 
 
 def expm_taylor(m: np.ndarray, terms: int = 24, squarings: int = 12) -> np.ndarray:
@@ -78,3 +81,19 @@ def step_matrices(xs, dts) -> np.ndarray:
 def step_matrix(x, dt: float) -> np.ndarray:
     """One closed-form step exp(-i H(x) dt) as a 4x4 complex matrix."""
     return step_matrices(np.asarray(x, dtype=float)[None, :], float(dt))[0]
+
+
+def spherical_splines(x, s) -> tuple[CubicSpline, CubicSpline, CubicSpline]:
+    """Separate scalar cubic splines of theta, phi and r through the
+    Cartesian points x (shape (n, 3)) at knots s.
+
+    phi is unwrapped and its last value snapped to a whole number of turns
+    from the first, the bookkeeping a closed loop's winding needs.
+    """
+    x = np.asarray(x, dtype=float)
+    r = np.linalg.norm(x, axis=1)
+    unit = x / r[:, None]
+    theta = np.arccos(np.clip(unit[:, 2], -1.0, 1.0))
+    phi = np.unwrap(np.arctan2(unit[:, 1], unit[:, 0]))
+    phi[-1] = phi[0] + 2.0 * np.pi * round((phi[-1] - phi[0]) / (2.0 * np.pi))
+    return CubicSpline(s, theta), CubicSpline(s, phi), CubicSpline(s, r)

@@ -18,6 +18,7 @@ from tripodholo import (
 )
 from tripodholo.experiments import _IntervalEngine, _mc_grid, threads_from_env
 from tripodholo import holonomy, noise as noise_mod
+from oracles import spherical_splines
 
 EQUATOR = latitude_loop(np.pi / 2, 1.0)
 
@@ -153,6 +154,32 @@ def test_gap_frequency_perturbation_escapes_first_order_theory():
     first_slow, full_slow = responses[0.05]
     assert abs(full_fast - first_fast) > 100.0 * abs(first_fast)
     assert abs(full_slow - first_slow) < 0.05 * abs(first_slow)
+
+
+def test_perturbed_realization_keeps_its_bits():
+    # One mc_full realization, propagated on paths.perturb's vector spline
+    # and on three scalar splines built here, gives the same gate to the bit.
+    from tripodholo import (ControlPath, Profile, PropagationSettings, evolve_lab,
+                            extract_logical_gate, perturb)
+
+    eps = 0.02
+    spec = NoiseSpec.uniform(0.01, 0.05, seed=1234)
+    grid = _mc_grid(EQUATOR, spec, 1.0 / eps)
+    real = noise_mod.sample_realization(spec, grid, 0)
+    s = grid / grid[-1]
+    theta, phi, radius = spherical_splines(EQUATOR.x(s) + real.dx, s)
+    reference = ControlPath(
+        theta=Profile(fn=theta, dfn=theta.derivative()),
+        phi=Profile(fn=phi, dfn=phi.derivative()),
+        radius=Profile(fn=radius, dfn=radius.derivative()),
+        grid=s,
+    )
+    settings = PropagationSettings(epsilon=eps, steps_per_unit_time=200)
+    gates = [extract_logical_gate(evolve_lab(p, settings), EQUATOR)
+             for p in (perturb(EQUATOR, real), reference)]
+    assert gates[0].angle_estimate == gates[1].angle_estimate
+    assert gates[0].leakage == gates[1].leakage
+    assert np.array_equal(gates[0].block, gates[1].block)
 
 
 def test_mode_agreement_in_validity_regime():

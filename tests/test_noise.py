@@ -3,13 +3,53 @@ import pytest
 
 from tripodholo import (
     NoiseSpec,
-    empirical_autocovariance,
     predicted_exponent,
     sample_realization,
     scaling_params,
 )
+from tripodholo.noise import RAMP_WIDTH_TAUS
 
 SIGMA, TAU = 0.05, 0.5
+
+
+def stationary_slice(spec: NoiseSpec, grid) -> slice:
+    """Index range of the grid that excludes the pinning ramps."""
+    t = np.asarray(grid, dtype=float)
+    if spec.pinning != "endpoint-ramp":
+        return slice(0, t.size)
+    width = RAMP_WIDTH_TAUS * max(spec.tau)
+    dt = t[1] - t[0]
+    k = int(np.ceil(width / dt)) + 1
+    if 2 * k >= t.size:
+        raise ValueError("grid too short to contain a stationary region")
+    return slice(k, t.size - k)
+
+
+def empirical_autocovariance(realizations, axis: int, lags):
+    """Ensemble lag-covariance estimates with standard errors.
+
+    axis is 1-based (matching the drive components). Each realization
+    contributes an unbiased zero-mean estimate over its stationary interior;
+    the returned standard errors are across the ensemble.
+    """
+    col = axis - 1
+    first = realizations[0]
+    t = first.grid
+    dt = t[1] - t[0]
+    interior = stationary_slice(first.spec, t)
+    lag_steps = [int(round(float(lag) / dt)) for lag in np.atleast_1d(lags)]
+    assert max(lag_steps) < interior.stop - interior.start
+    per_real = np.empty((len(realizations), len(lag_steps)))
+    for j, real in enumerate(realizations):
+        x = real.dx[interior, col]
+        for q, k in enumerate(lag_steps):
+            if k == 0:
+                per_real[j, q] = np.mean(x * x)
+            else:
+                per_real[j, q] = np.mean(x[:-k] * x[k:])
+    estimates = per_real.mean(axis=0)
+    stderr = per_real.std(axis=0, ddof=1) / np.sqrt(len(realizations))
+    return estimates, stderr
 
 
 @pytest.fixture(scope="module")

@@ -13,6 +13,7 @@ from tripodholo import (
     perturb,
     sample_realization,
 )
+from oracles import spherical_splines
 
 
 class FakeRealization:
@@ -167,6 +168,51 @@ def test_perturb_rejects_unpinned_and_near_origin():
     toward_origin = -0.95 * path.x(s)
     with pytest.raises(ValueError, match="origin"):
         perturb(path, FakeRealization(grid, toward_origin))
+
+
+def test_perturb_rejects_non_finite_realizations():
+    # NaN compares False, so without a finiteness check it passes the origin
+    # and closure checks and fails later in the winding snap.
+    path = latitude_loop(1.0, 1.0)
+    grid = np.linspace(0.0, 10.0, 2001)
+    dx = np.zeros((2001, 3))
+    dx[1000, 1] = np.nan
+    with pytest.raises(ValueError, match="realization dx is not finite at t = 5$"):
+        perturb(path, FakeRealization(grid, dx))
+    dx = np.zeros((2001, 3))
+    dx[-1, 2] = np.inf
+    with pytest.raises(ValueError, match="realization dx is not finite at t = 10$"):
+        perturb(path, FakeRealization(grid, dx))
+
+
+def test_perturb_profiles_equal_three_scalar_splines():
+    # The vector spline of (theta, phi, r) against three scalar fits built
+    # by the oracle: values, derivatives, x and xhat agree to the bit.
+    path = fourier_path(
+        Harmonics(offset=1.2, sin=(0.2,)),
+        Harmonics(offset=0.0, slope=2 * np.pi, cos=(0.1,)),
+        Harmonics(offset=1.0, slope=0.3),
+    )
+    grid = np.linspace(0.0, 40.0, 2001)
+    real = sample_realization(NoiseSpec.uniform(0.03, 0.5, seed=11), grid, 2)
+    pp = perturb(path, real)
+    s = grid / grid[-1]
+    fits = spherical_splines(path.x(s) + real.dx, s)
+    probes = np.concatenate([s, 0.5 * (s[:-1] + s[1:]),
+                             np.random.default_rng(5).uniform(0.0, 1.0, 500)])
+    for profile, fit in zip((pp.theta, pp.phi, pp.radius), fits):
+        assert np.array_equal(profile(probes), fit(probes))
+        assert np.array_equal(profile.derivative(probes), fit.derivative()(probes))
+    cases = [(pp, *(fit(probes) for fit in fits))]
+    # A function-backed path evaluates the same formula from its profiles.
+    for fn_path in (path, latitude_loop(0.7, 1.3), lune_path(2.0)):
+        cases.append((fn_path, fn_path.theta(probes), fn_path.phi(probes),
+                      fn_path.radius(probes)))
+    for checked, th, ph, rr in cases:
+        st = np.sin(th)
+        xhat = np.stack([st * np.cos(ph), st * np.sin(ph), np.cos(th)], axis=-1)
+        assert np.array_equal(checked.xhat(probes), xhat)
+        assert np.array_equal(checked.x(probes), rr[:, None] * xhat)
 
 
 def test_arc_length_latitudes():
