@@ -291,6 +291,19 @@ def parse_config(text: str, subcommand: str | None = None) -> RunConfig:
         raise ConfigError("[experiment] epsilon_grid needs >= 3 points")
     if sub == "timing" and len(t0_grid) < 3:
         raise ConfigError("[experiment] t0_grid needs >= 3 points")
+    # The studies' own preconditions, checked on the resolved grids so that
+    # the error names the config key rather than surfacing mid-run.
+    grid_key = "epsilon_grid" if eps_min is None else "epsilon_max"
+    if sub == "scaling" and max(eps_grid) > 1.0:
+        exp._fail(grid_key, f"the scaling study needs epsilon in (0, 1], "
+                            f"got {max(eps_grid):g}")
+    if sub == "scaling" and max(eps_grid) / min(eps_grid) < 10.0:
+        exp._fail(grid_key, f"the scaling study needs epsilon to span at least "
+                            f"one decade, got {min(eps_grid):g} to {max(eps_grid):g}")
+    if sub == "timing" and abs(delta_t) >= 0.5 * min(t0_grid):
+        exp._fail("delta_t" if "delta_t" in exp.raw else "t0_grid",
+                  f"|delta_t| = {abs(delta_t):g} must be below "
+                  f"{0.5 * min(t0_grid):g}, half the smallest t0_grid value")
 
     out = secs["output"]
     out_dir = out.string("dir", default="out")
@@ -443,7 +456,8 @@ def run(config: RunConfig) -> int:
         results["leakage"] = gate.leakage
         results["adiabaticity_lost"] = gate.adiabaticity_lost
         results["distance_to_ideal"] = float(np.linalg.norm(gate.block - ideal.matrix))
-        checks.append(("leakage below 0.1", not gate.adiabaticity_lost))
+        checks.append((f"leakage below {propagator.LEAKAGE_LIMIT}",
+                       not gate.adiabaticity_lost))
         s = np.linspace(0.0, 1.0, 257)
         x = path.x(s)
         # Row by row, |x| = sqrt(x . x) bit for bit, as np.linalg.norm(row) is.
@@ -478,7 +492,7 @@ def run(config: RunConfig) -> int:
                            "of the analytic value", ok))
         _write_csv(out / "realizations.csv",
                    ["index", "delta_omega", "leakage", "included"],
-                   [(i, d, l, l <= experiments.LEAKAGE_LIMIT)
+                   [(i, d, l, l <= propagator.LEAKAGE_LIMIT)
                     for i, (d, l) in enumerate(zip(mc.deltas, mc.leakages))])
 
     elif config.subcommand == "scaling":

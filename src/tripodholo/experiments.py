@@ -18,8 +18,6 @@ from scipy.signal import lfilter
 from . import holonomy, noise, paths, propagator
 
 MC_MODES = ("first_order", "full_propagation")
-#: Realizations whose propagation leaks more than this are excluded.
-LEAKAGE_LIMIT = 0.1
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,7 +254,7 @@ def mc_delta(path: paths.ControlPath, spec: noise.NoiseSpec, epsilon: float,
             rows = list(pool.map(one, indices))
     deltas = np.array([r[0] for r in rows])
     leakages = np.array([r[1] for r in rows])
-    included = leakages <= LEAKAGE_LIMIT
+    included = leakages <= propagator.LEAKAGE_LIMIT
     kept = deltas[included]
     n_kept = int(kept.size)
     if n_kept < 2:

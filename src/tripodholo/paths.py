@@ -8,11 +8,13 @@ must close, x^(0) = x^(1); the norm r may end anywhere positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
+
+from . import tripod
 
 _CLOSURE_TOL = 1e-10
 _FD_STEP = 1e-6
@@ -38,12 +40,6 @@ class Profile:
             return self.dfn(s)
         h = _FD_STEP
         return (self.fn(s + h) - self.fn(s - h)) / (2.0 * h)
-
-
-def constant_profile(value: float) -> Profile:
-    v = float(value)
-    return Profile(fn=lambda s: np.full_like(np.asarray(s, dtype=float), v),
-                   dfn=lambda s: np.zeros_like(np.asarray(s, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -90,7 +86,6 @@ class ControlPath:
     phi: Profile
     radius: Profile
     name: str = "custom"
-    params: dict = field(default_factory=dict)
     grid: np.ndarray | None = None
 
     def __post_init__(self):
@@ -142,11 +137,8 @@ class ControlPath:
         ph = self.phi(s)
         thd = self.theta.derivative(s)
         phd = self.phi.derivative(s)
-        st, ct = np.sin(th), np.cos(th)
-        sp, cp = np.sin(ph), np.cos(ph)
-        etheta = np.stack([ct * cp, ct * sp, -st], axis=-1)
-        ephi = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
-        return thd[..., None] * etheta + (phd * st)[..., None] * ephi
+        f = tripod.frame(th, ph)
+        return thd[..., None] * f.etheta + (phd * np.sin(th))[..., None] * f.ephi
 
 
 def _unit_vector(th, ph):
@@ -166,24 +158,17 @@ class _SplinePath(ControlPath):
         return v[..., 0], v[..., 1], v[..., 2]
 
 
-def _column(f, k):
-    return lambda s: f(s)[..., k]
-
-
 def latitude_loop(theta0: float, r0: float = 1.0) -> ControlPath:
     """Circle of latitude theta0 traversed once at constant speed and norm."""
     if not 0.0 < theta0 < np.pi:
         raise ValueError("theta0 must lie strictly between 0 and pi")
     if r0 <= 0.0:
         raise ValueError("r0 must be positive")
-    two_pi = 2.0 * np.pi
     return ControlPath(
-        theta=constant_profile(theta0),
-        phi=Profile(fn=lambda s: two_pi * np.asarray(s, dtype=float),
-                    dfn=lambda s: np.full_like(np.asarray(s, dtype=float), two_pi)),
-        radius=constant_profile(r0),
+        theta=Harmonics(float(theta0)).profile(),
+        phi=Harmonics(0.0, slope=2.0 * np.pi).profile(),
+        radius=Harmonics(float(r0)).profile(),
         name="latitude",
-        params={"theta0": float(theta0), "r0": float(r0)},
     )
 
 
@@ -209,60 +194,43 @@ def lune_path(dphi: float, delta: float = 1e-3) -> ControlPath:
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     half_pi = np.pi / 2.0
-
-    def theta_fn(s):
-        s = np.asarray(s, dtype=float)
-        u = np.clip(s * 4.0, 0.0, 4.0)
-        leg = np.minimum(np.floor(u), 3.0)
-        v = u - leg
-        h = _smoothstep(v)
-        return np.select(
-            [leg == 0, leg == 1, leg == 2, leg == 3],
-            [delta + (half_pi - delta) * h, np.full_like(v, half_pi),
-             half_pi - (half_pi - delta) * h, np.full_like(v, delta)],
-        )
-
-    def theta_d(s):
-        s = np.asarray(s, dtype=float)
-        u = np.clip(s * 4.0, 0.0, 4.0)
-        leg = np.minimum(np.floor(u), 3.0)
-        v = u - leg
-        hd = _smoothstep_d(v) * 4.0
-        return np.select(
-            [leg == 0, leg == 1, leg == 2, leg == 3],
-            [(half_pi - delta) * hd, np.zeros_like(v),
-             -(half_pi - delta) * hd, np.zeros_like(v)],
-        )
-
-    def phi_fn(s):
-        s = np.asarray(s, dtype=float)
-        u = np.clip(s * 4.0, 0.0, 4.0)
-        leg = np.minimum(np.floor(u), 3.0)
-        v = u - leg
-        h = _smoothstep(v)
-        return np.select(
-            [leg == 0, leg == 1, leg == 2, leg == 3],
-            [np.zeros_like(v), dphi * h, np.full_like(v, dphi), dphi * (1.0 - h)],
-        )
-
-    def phi_d(s):
-        s = np.asarray(s, dtype=float)
-        u = np.clip(s * 4.0, 0.0, 4.0)
-        leg = np.minimum(np.floor(u), 3.0)
-        v = u - leg
-        hd = _smoothstep_d(v) * 4.0
-        return np.select(
-            [leg == 0, leg == 1, leg == 2, leg == 3],
-            [np.zeros_like(v), dphi * hd, np.zeros_like(v), -dphi * hd],
-        )
-
     return ControlPath(
-        theta=Profile(fn=theta_fn, dfn=theta_d),
-        phi=Profile(fn=phi_fn, dfn=phi_d),
-        radius=constant_profile(1.0),
+        theta=_legs((delta, half_pi, half_pi, delta),
+                    (half_pi - delta, 0.0, -(half_pi - delta), 0.0)),
+        phi=_legs((0.0, 0.0, dphi, 0.0), (0.0, dphi, 0.0, dphi)),
+        radius=Harmonics(1.0).profile(),
         name="lune",
-        params={"dphi": float(dphi), "delta": float(delta)},
     )
+
+
+def _legs(start, rise) -> Profile:
+    """Profile of four smoothstep legs, leg k on s in [k/4, (k+1)/4].
+
+    Leg k runs from start[k] to start[k] + rise[k], except the closing leg
+    (k = 3), which runs back from start[3] + rise[3] to start[3]: its value
+    is start[3] + rise[3] (1 - h) and its rate carries the minus sign. That
+    form keeps phi on the closing arc at dphi (1 - h) to the bit, where
+    (start + rise) - rise h would round differently.
+    """
+    start = np.array(start, dtype=float)
+    rise = np.array(rise, dtype=float)
+
+    def split(s):
+        u = np.clip(s * 4.0, 0.0, 4.0)
+        leg = np.minimum(np.floor(u), 3.0).astype(int)
+        return leg, u - leg
+
+    def value(s):
+        leg, v = split(s)
+        h = _smoothstep(v)
+        return start[leg] + rise[leg] * np.where(leg == 3, 1.0 - h, h)
+
+    def rate(s):
+        leg, v = split(s)
+        hd = _smoothstep_d(v) * 4.0
+        return rise[leg] * np.where(leg == 3, -hd, hd)
+
+    return Profile(fn=value, dfn=rate)
 
 
 def fourier_path(theta_coeffs: Harmonics, phi_coeffs: Harmonics,
@@ -290,7 +258,6 @@ def fourier_path(theta_coeffs: Harmonics, phi_coeffs: Harmonics,
         phi=phi_coeffs.profile(),
         radius=r_coeffs.profile(),
         name="fourier",
-        params={"theta": theta_coeffs, "phi": phi_coeffs, "r": r_coeffs},
     )
 
 
@@ -335,9 +302,11 @@ def perturb(path: ControlPath, realization) -> ControlPath:
     spline = CubicSpline(s, np.stack([theta, phi, rr], axis=-1))
     slope = spline.derivative()
     return _SplinePath(
-        *(Profile(fn=_column(spline, k), dfn=_column(slope, k)) for k in range(3)),
+        # Profile k reads column k of the coefficients, without a refit.
+        *(Profile(fn=PPoly.construct_fast(spline.c[..., k], spline.x),
+                  dfn=PPoly.construct_fast(slope.c[..., k], slope.x))
+          for k in range(3)),
         name=path.name + "+noise",
-        params=dict(path.params, realization=getattr(realization, "index", None)),
         grid=s,
         spline=spline,
     )

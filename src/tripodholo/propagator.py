@@ -69,6 +69,10 @@ MAX_STEPS = 2 ** 23
 #: is an exact subtree of the pairwise tree over all steps.
 BLOCK = 2 ** 13
 
+#: A gate leaking more than this has lost adiabaticity, and mc_delta
+#: excludes a realization that leaks more.
+LEAKAGE_LIMIT = 0.1
+
 #: Q = diag(1, i, i, i), which maps the real quaternion rotations to the
 #: tripod steps: U = Q M Q^-1.
 _Q = np.array([1.0, 1j, 1j, 1j])
@@ -292,5 +296,5 @@ def extract_logical_gate(u: np.ndarray, path: ControlPath) -> ExtractedGate:
         block=m,
         leakage=leakage,
         angle_estimate=angle,
-        adiabaticity_lost=leakage > 0.1,
+        adiabaticity_lost=leakage > LEAKAGE_LIMIT,
     )

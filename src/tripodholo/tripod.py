@@ -112,25 +112,24 @@ def rotation_generator(v) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Frame:
-    """Orthonormal moving frame adapted to the unit sphere at (theta, phi)."""
+    """Orthonormal moving frame adapted to the unit sphere at (theta, phi);
+    for array angles each vector is stacked on the last axis."""
 
-    e0: np.ndarray
     er: np.ndarray
     etheta: np.ndarray
     ephi: np.ndarray
-    theta: float
-    phi: float
 
 
-def frame(theta: float, phi: float) -> Frame:
-    """Spherical tangent frame: er radial, etheta/ephi tangent, right-handed."""
+def frame(theta, phi) -> Frame:
+    """Spherical tangent frame: er radial, etheta/ephi tangent, right-handed.
+
+    theta and phi are scalars or arrays of one shape.
+    """
     st, ct = np.sin(theta), np.cos(theta)
     sp, cp = np.sin(phi), np.cos(phi)
-    er = np.array([st * cp, st * sp, ct])
-    etheta = np.array([ct * cp, ct * sp, -st])
-    ephi = np.array([-sp, cp, 0.0])
-    e0 = np.array([1.0, 0.0, 0.0])
-    return Frame(e0=e0, er=er, etheta=etheta, ephi=ephi, theta=float(theta), phi=float(phi))
+    return Frame(er=np.stack([st * cp, st * sp, ct], axis=-1),
+                 etheta=np.stack([ct * cp, ct * sp, -st], axis=-1),
+                 ephi=np.stack([-sp, cp, np.zeros_like(sp)], axis=-1))
 
 
 def d_rotation_block(theta: float, phi: float) -> np.ndarray:

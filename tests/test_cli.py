@@ -459,3 +459,22 @@ def test_non_finite_config_values_are_config_errors(tmp_path, capsys, subcommand
     err = capsys.readouterr().err
     assert key in err
     assert "finite" in err
+
+
+@pytest.mark.parametrize("subcommand, experiment, key", [
+    ("scaling", "epsilon_grid = 0.01, 0.02, 0.03, 0.04", "epsilon_grid"),
+    ("scaling", "epsilon_grid = 0.1, 0.5, 1.0, 2.0", "epsilon_grid"),
+    ("scaling", "epsilon_min = 0.1\nepsilon_max = 2.0", "epsilon_max"),
+    ("timing", "delta_t = 60", "delta_t"),
+], ids=["scaling-span", "scaling-epsilon-above-1", "scaling-resolved-grid",
+        "timing-delta_t"])
+def test_study_preconditions_are_config_errors(tmp_path, capsys, subcommand,
+                                               experiment, key):
+    cfg = tmp_path / "cfg.ini"
+    text = (MINIMAL_GATE.replace("theta0 = 1.0471975511965976", "theta0 = 1.0")
+            .replace("subcommand = gate", f"subcommand = {subcommand}"))
+    cfg.write_text(text + experiment + "\n", encoding="utf-8")
+    assert cli.main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"[experiment] {key}:" in err
+    assert re.search(r"line \d+:", err)

@@ -56,6 +56,55 @@ def test_lune_path_closure_and_legs():
     assert path.phi(0.375) == pytest.approx(np.pi / 2 * 0.5, abs=0.3)
 
 
+_PROBES = np.concatenate([np.random.default_rng(23).uniform(0.0, 1.0, 10_000),
+                          [0.0, 0.25, 0.5, 0.75, 1.0]])
+
+
+def _lune_reference(s, dphi, delta):
+    """The lune's legs written out one by one: values and rates of theta
+    and phi."""
+    u = np.clip(4.0 * s, 0.0, 4.0)
+    leg = np.minimum(np.floor(u), 3.0)
+    v = u - leg
+    h = v - np.sin(2.0 * np.pi * v) / (2.0 * np.pi)
+    hd = (1.0 - np.cos(2.0 * np.pi * v)) * 4.0
+    legs = [leg == k for k in range(4)]
+    half_pi, zero = np.pi / 2.0, np.zeros_like(s)
+    theta = np.select(legs, [delta + (half_pi - delta) * h, zero + half_pi,
+                             half_pi - (half_pi - delta) * h, zero + delta])
+    theta_d = np.select(legs, [(half_pi - delta) * hd, zero,
+                               -(half_pi - delta) * hd, zero])
+    phi = np.select(legs, [zero, dphi * h, zero + dphi, dphi * (1.0 - h)])
+    phi_d = np.select(legs, [zero, dphi * hd, zero, -dphi * hd])
+    return theta, theta_d, phi, phi_d
+
+
+@pytest.mark.parametrize("dphi", [1e-6, 0.3, np.pi / 2, 3.0, 2 * np.pi - 1e-6])
+@pytest.mark.parametrize("delta", [1e-3, 0.3])
+def test_lune_profiles_equal_their_closed_forms(dphi, delta):
+    path = lune_path(dphi, delta)
+    theta, theta_d, phi, phi_d = _lune_reference(_PROBES, dphi, delta)
+    assert np.array_equal(path.theta(_PROBES), theta)
+    assert np.array_equal(path.theta.derivative(_PROBES), theta_d)
+    assert np.array_equal(path.phi(_PROBES), phi)
+    assert np.array_equal(path.phi.derivative(_PROBES), phi_d)
+    assert np.array_equal(path.radius(_PROBES), np.ones_like(_PROBES))
+    assert np.array_equal(path.radius.derivative(_PROBES), np.zeros_like(_PROBES))
+
+
+@pytest.mark.parametrize("theta0, r0", [(1e-3, 1.0), (np.pi / 3, 0.2), (1.1, 1.7),
+                                        (np.pi - 1e-3, 40.0)])
+def test_latitude_profiles_equal_their_closed_forms(theta0, r0):
+    path = latitude_loop(theta0, r0)
+    s = _PROBES
+    assert np.array_equal(path.theta(s), np.full_like(s, theta0))
+    assert np.array_equal(path.theta.derivative(s), np.zeros_like(s))
+    assert np.array_equal(path.phi(s), 2.0 * np.pi * s)
+    assert np.array_equal(path.phi.derivative(s), np.full_like(s, 2.0 * np.pi))
+    assert np.array_equal(path.radius(s), np.full_like(s, r0))
+    assert np.array_equal(path.radius.derivative(s), np.zeros_like(s))
+
+
 def test_lune_path_validation():
     with pytest.raises(ValueError):
         lune_path(0.0)

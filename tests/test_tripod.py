@@ -144,6 +144,18 @@ def test_frame_examples_and_orthonormality():
         assert np.allclose(np.cross(f.etheta, f.ephi), f.er, atol=1e-12)
 
 
+def test_frame_of_arrays_stacks_the_scalar_frames():
+    rng = np.random.default_rng(8)
+    theta = rng.uniform(0, np.pi, (4, 5))
+    phi = rng.uniform(-np.pi, np.pi, (4, 5))
+    f = tripod.frame(theta, phi)
+    for i, j in np.ndindex(theta.shape):
+        g = tripod.frame(theta[i, j], phi[i, j])
+        assert np.array_equal(f.er[i, j], g.er)
+        assert np.array_equal(f.etheta[i, j], g.etheta)
+        assert np.array_equal(f.ephi[i, j], g.ephi)
+
+
 def test_r_rotation_endpoints_and_conjugation():
     path = latitude_loop(np.pi / 3, 1.0)
     assert np.linalg.norm(tripod.r_rotation(path, 0.0) - np.eye(4)) < 1e-12
