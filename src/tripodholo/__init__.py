@@ -54,7 +54,6 @@ from .propagator import (
     evolve,
     evolve_lab,
     evolve_moving,
-    evolve_to_nominal,
     extract_logical_gate,
 )
 from .tripod import (

@@ -283,6 +283,11 @@ def parse_config(text: str, subcommand: str | None = None) -> RunConfig:
     seed = exp.integer("seed", default=0, minimum=0)
     exp.reject_unknown()
 
+    if (sub in ("noise-mc", "scaling") and mode == "full_propagation"
+            and pinning == "none"):
+        noisesec._fail("pinning", "full_propagation needs pinned noise "
+                                  "(endpoint-ramp or exact-bridge): unpinned "
+                                  "noise does not close the loop")
     if sub == "timing" and delta_t == 0.0:
         raise ConfigError("[experiment] delta_t must be nonzero for the timing study")
     if sub == "scaling" and len(eps_grid) < 4:
@@ -359,25 +364,10 @@ def _config_echo(config: RunConfig) -> dict:
     return echo
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    return value
-
-
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
+    # numpy floats are floats to json; other numpy values go through tolist.
+    text = json.dumps(payload, sort_keys=True, indent=2, default=lambda v: v.tolist())
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _format_cell(value) -> str:

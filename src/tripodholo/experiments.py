@@ -142,8 +142,7 @@ class _IntervalEngine:
             mid = 0.5 * (nodes[:-1] + nodes[1:])
             kern = holonomy.angle_response_kernel(path, mid / period)[:, axis] / period
             if spec.pinning == "endpoint-ramp":
-                width = min(noise.RAMP_WIDTH_TAUS * tau, 0.5 * period)
-                kern = kern * noise._ramp(mid, width, total=period)
+                kern = kern * noise._ramp(mid, tau, period)
             node_w = np.zeros(nodes.size)
             node_w[:-1] += kern * beta
             node_w[1:] += kern * beta
@@ -197,11 +196,16 @@ def mc_delta(path: paths.ControlPath, spec: noise.NoiseSpec, epsilon: float,
 
     first_order evaluates the linear response integral on each realization;
     full_propagation perturbs the path, propagates it, and compares the
-    extracted angle with the unperturbed loop's angle. Realizations that
-    leak more than 10% of the dark population are excluded and counted.
+    extracted angle with the unperturbed loop's angle; it needs pinned
+    noise, which closes the loop. Realizations that leak more than 10% of
+    the dark population are excluded and counted, and so are those that
+    drive the curve near the origin, with NaN delta and leakage.
     """
     if mode not in MC_MODES:
         raise ValueError(f"mode must be one of {MC_MODES}")
+    if mode == "full_propagation" and spec.pinning == "none":
+        raise ValueError("full_propagation needs pinned noise: unpinned noise "
+                         "does not close the loop")
     if n < 1:
         raise ValueError("need at least one realization")
     n_workers = _resolve_workers(workers)
@@ -240,7 +244,14 @@ def mc_delta(path: paths.ControlPath, spec: noise.NoiseSpec, epsilon: float,
 
         def one(idx: int) -> tuple[float, float]:
             real = noise.sample_realization(spec, grid, idx)
-            perturbed = paths.perturb(path, real)
+            try:
+                perturbed = paths.perturb(path, real)
+            except ValueError:
+                # Pinned noise is finite and closes the loop, so the one
+                # rejection left is a curve driven near the origin, where
+                # the gap collapses: exclude the realization, like a leaky
+                # one (NaN leakage is never within the limit).
+                return float("nan"), float("nan")
             u = propagator.evolve_lab(perturbed, settings)
             gate = propagator.extract_logical_gate(u, path)
             d = holonomy.canonical_angle(gate.angle_estimate - omega_ref)
@@ -347,8 +358,8 @@ def timing_mismatch_error(path: paths.ControlPath, t0: float, delta_t: float,
     settings = propagator.PropagationSettings(
         epsilon=1.0 / float(t0), steps_per_unit_time=steps_per_unit_time
     )
-    u_mis = propagator.evolve_to_nominal(path, settings, float(delta_t))
-    u_ref = propagator.evolve_to_nominal(path, settings, 0.0)
+    u_mis = propagator.evolve_lab(path, settings, float(delta_t))
+    u_ref = propagator.evolve_lab(path, settings)
     basis = propagator.dark_basis_matrix(path).astype(complex)
     return float(np.linalg.norm((u_mis - u_ref) @ basis))
 

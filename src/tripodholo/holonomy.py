@@ -116,11 +116,10 @@ def delta_omega_first_order(path: ControlPath, dx, s_grid=None) -> float:
     if s_grid is None:
         s = np.linspace(0.0, 1.0, dx.shape[0])
     else:
+        # A grid 0..1, or a physical-time grid 0..T; the integral is
+        # parametrization invariant, so map it to [0, 1].
         s = np.asarray(s_grid, dtype=float)
-        if s[-1] > 1.0:
-            # A physical-time grid 0..T; the integral is parametrization
-            # invariant, so map it back to [0, 1].
-            s = s / s[-1]
+        s = s / s[-1]
     if dx.shape != (s.size, 3):
         raise ValueError("dx must have shape (len(grid), 3)")
     kern = angle_response_kernel(path, s)

@@ -95,32 +95,28 @@ def sample_realization(spec: NoiseSpec, grid, index: int) -> NoiseRealization:
         sigma, tau = spec.sigma[i], spec.tau[i]
         a = np.exp(-2.0 * dt / tau)
         z = rng.standard_normal(n)
+        # The bridge starts at zero, the other chains stationary.
+        w = sigma * np.sqrt(1.0 - a * a) * z
+        w[0] = 0.0 if spec.pinning == "exact-bridge" else sigma * z[0]
+        series = lfilter([1.0], [1.0, -a], w)
         if spec.pinning == "exact-bridge":
-            w = np.empty(n)
-            w[0] = 0.0
-            w[1:] = sigma * np.sqrt(1.0 - a * a) * z[1:]
-            series = lfilter([1.0], [1.0, -a], w)
             # Condition the zero-started chain on ending at zero: subtract
             # the Gaussian projection onto the final value.
             k = np.arange(n)
             m = n - 1
             weight = (a ** (m - k) - a ** (m + k)) / (1.0 - a ** (2 * m))
             series = series - series[-1] * weight
-        else:
-            w = np.empty(n)
-            w[0] = sigma * z[0]
-            w[1:] = sigma * np.sqrt(1.0 - a * a) * z[1:]
-            series = lfilter([1.0], [1.0, -a], w)
-            if spec.pinning == "endpoint-ramp":
-                series = series * _ramp(t, min(RAMP_WIDTH_TAUS * tau, 0.5 * total))
+        elif spec.pinning == "endpoint-ramp":
+            series = series * _ramp(t, tau, total)
         dx[:, i] = series
     return NoiseRealization(grid=t.copy(), dx=dx, spec=spec, index=int(index))
 
 
-def _ramp(t: np.ndarray, width: float, total: float | None = None) -> np.ndarray:
-    """Cosine taper: 0 at both ends, 1 in the interior, C^1 throughout."""
-    if total is None:
-        total = t[-1]
+def _ramp(t: np.ndarray, tau: float, total: float) -> np.ndarray:
+    """Cosine taper of the chain with correlation time tau on [0, total]: 0 at
+    both ends, 1 in the interior, C^1 throughout. Each end ramps over
+    RAMP_WIDTH_TAUS tau, or over half of [0, total] when that is shorter."""
+    width = min(RAMP_WIDTH_TAUS * tau, 0.5 * total)
     out = np.ones_like(t)
     head = t < width
     out[head] = 0.5 * (1.0 - np.cos(np.pi * t[head] / width))

@@ -17,41 +17,36 @@ from scipy.interpolate import CubicSpline, PPoly
 from . import tripod
 
 _CLOSURE_TOL = 1e-10
-_FD_STEP = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
 class Profile:
-    """Scalar function of normalized time with an optional analytic derivative.
+    """Scalar function of normalized time and its exact derivative.
 
-    Both callables must accept numpy arrays. When no derivative is supplied,
-    a central difference with step 1e-6 is used.
+    Both callables must accept numpy arrays.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
-    dfn: Callable[[np.ndarray], np.ndarray] | None = None
+    dfn: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, s):
         return self.fn(np.asarray(s, dtype=float))
 
     def derivative(self, s):
-        s = np.asarray(s, dtype=float)
-        if self.dfn is not None:
-            return self.dfn(s)
-        h = _FD_STEP
-        return (self.fn(s + h) - self.fn(s - h)) / (2.0 * h)
+        return self.dfn(np.asarray(s, dtype=float))
 
 
 @dataclass(frozen=True)
 class Harmonics:
-    """Coefficients offset + slope*s + sum_k sin_k sin(2 pi k s) + cos_k cos(2 pi k s)."""
+    """Harmonic profile offset + slope*s + sum_k sin_k sin(2 pi k s)
+    + cos_k cos(2 pi k s), called like a Profile, with its exact derivative."""
 
     offset: float
     slope: float = 0.0
     sin: tuple[float, ...] = ()
     cos: tuple[float, ...] = ()
 
-    def value(self, s):
+    def __call__(self, s):
         s = np.asarray(s, dtype=float)
         out = self.offset + self.slope * s
         for k, a in enumerate(self.sin, start=1):
@@ -69,9 +64,6 @@ class Harmonics:
             out = out - a * 2.0 * np.pi * k * np.sin(2.0 * np.pi * k * s)
         return out
 
-    def profile(self) -> Profile:
-        return Profile(fn=self.value, dfn=self.derivative)
-
 
 @dataclass(frozen=True, eq=False)
 class ControlPath:
@@ -82,9 +74,9 @@ class ControlPath:
     here: the same geometric loop can be driven at any speed.
     """
 
-    theta: Profile
-    phi: Profile
-    radius: Profile
+    theta: Profile | Harmonics
+    phi: Profile | Harmonics
+    radius: Profile | Harmonics
     name: str = "custom"
     grid: np.ndarray | None = None
 
@@ -165,9 +157,9 @@ def latitude_loop(theta0: float, r0: float = 1.0) -> ControlPath:
     if r0 <= 0.0:
         raise ValueError("r0 must be positive")
     return ControlPath(
-        theta=Harmonics(float(theta0)).profile(),
-        phi=Harmonics(0.0, slope=2.0 * np.pi).profile(),
-        radius=Harmonics(float(r0)).profile(),
+        theta=Harmonics(float(theta0)),
+        phi=Harmonics(0.0, slope=2.0 * np.pi),
+        radius=Harmonics(float(r0)),
         name="latitude",
     )
 
@@ -198,7 +190,7 @@ def lune_path(dphi: float, delta: float = 1e-3) -> ControlPath:
         theta=_legs((delta, half_pi, half_pi, delta),
                     (half_pi - delta, 0.0, -(half_pi - delta), 0.0)),
         phi=_legs((0.0, 0.0, dphi, 0.0), (0.0, dphi, 0.0, dphi)),
-        radius=Harmonics(1.0).profile(),
+        radius=Harmonics(1.0),
         name="lune",
     )
 
@@ -247,16 +239,16 @@ def fourier_path(theta_coeffs: Harmonics, phi_coeffs: Harmonics,
     if abs(w - round(w)) > 1e-10:
         raise ValueError("phi slope must be an integer multiple of 2 pi")
     dense = np.linspace(0.0, 1.0, 4097)
-    th = theta_coeffs.value(dense)
+    th = theta_coeffs(dense)
     if np.min(th) <= 1e-9 or np.max(th) >= np.pi - 1e-9:
         raise ValueError("theta profile leaves the open interval (0, pi)")
-    rr = r_coeffs.value(dense)
+    rr = r_coeffs(dense)
     if np.min(rr) <= 0.0:
         raise ValueError("radius profile must stay positive")
     return ControlPath(
-        theta=theta_coeffs.profile(),
-        phi=phi_coeffs.profile(),
-        radius=r_coeffs.profile(),
+        theta=theta_coeffs,
+        phi=phi_coeffs,
+        radius=r_coeffs,
         name="fourier",
     )
 

@@ -190,19 +190,14 @@ def evolve(path: ControlPath, settings: PropagationSettings) -> np.ndarray:
     return evolve_lab(path, settings)
 
 
-def evolve_lab(path: ControlPath, settings: PropagationSettings) -> np.ndarray:
-    """Lab-frame propagator U(T), T = 1/epsilon, by midpoint exponentials."""
-    return evolve_to_nominal(path, settings, 0.0)
+def evolve_lab(path: ControlPath, settings: PropagationSettings,
+               delta_t: float = 0.0) -> np.ndarray:
+    """Lab-frame propagator U(T0), T0 = 1/epsilon, by midpoint exponentials,
+    of a drive whose true period is T0 + delta_t.
 
-
-def evolve_to_nominal(path: ControlPath, settings: PropagationSettings,
-                      delta_t: float) -> np.ndarray:
-    """Propagate a drive whose true period is T0 + delta_t but stop at the
-    nominal time T0 = 1/epsilon.
-
-    With delta_t = 0 this is exactly evolve_lab. Otherwise the loop has not
-    closed at the stopping time, so the returned operator carries a residual
-    frame rotation on top of the geometric gate.
+    With delta_t != 0 the loop has not closed at the nominal stopping time
+    T0, so the returned operator carries a residual frame rotation on top of
+    the geometric gate.
     """
     t_nominal = 1.0 / settings.epsilon
     if abs(delta_t) >= 0.5 * t_nominal:

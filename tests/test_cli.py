@@ -478,3 +478,46 @@ def test_study_preconditions_are_config_errors(tmp_path, capsys, subcommand,
     err = capsys.readouterr().err
     assert f"[experiment] {key}:" in err
     assert re.search(r"line \d+:", err)
+
+
+@pytest.mark.parametrize("subcommand", ["noise-mc", "scaling"])
+def test_full_propagation_with_unpinned_noise_is_a_config_error(tmp_path, capsys,
+                                                                subcommand):
+    cfg = tmp_path / "cfg.ini"
+    text = (MINIMAL_GATE.replace("theta0 = 1.0471975511965976", "theta0 = 1.0")
+            .replace("epsilon = 0.05", "epsilon = 0.1")
+            .replace("subcommand = gate", f"subcommand = {subcommand}"))
+    cfg.write_text(text + "mode = full_propagation\nn = 100\n\n"
+                   "[noise]\nsigma = 0.01\ntau = 0.5\npinning = none\n", encoding="utf-8")
+    assert cli.main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "[noise] pinning:" in err
+    assert re.search(r"line \d+:", err)
+
+
+def test_full_propagation_counts_realizations_near_the_origin(tmp_path):
+    # 38 of these 100 realizations drive the curve within 0.1 min r of the
+    # origin; the run excludes and counts them instead of failing.
+    cfg = tmp_path / "cfg.ini"
+    text = (MINIMAL_GATE.replace("theta0 = 1.0471975511965976", "theta0 = 1.0")
+            .replace("epsilon = 0.05", "epsilon = 0.1")
+            .replace("subcommand = gate", "subcommand = noise-mc"))
+    cfg.write_text(text + "mode = full_propagation\nn = 100\nseed = 0\n\n"
+                   "[noise]\nsigma = 0.6\ntau = 0.5\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert cli.main(["noise-mc", "--config", str(cfg), "--out", str(out)]) in (0, 3)
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert summary["results"]["n_excluded"] >= 38
+    rows = (out / "realizations.csv").read_text(encoding="utf-8").splitlines()[1:]
+    near_origin = [r for r in rows if r.split(",")[1:] == ["nan", "nan", "false"]]
+    assert len(near_origin) >= 38
+
+
+def test_json_encodes_numpy_values_as_python_values(tmp_path):
+    payload = {"f": np.float64(0.1), "i": np.int64(3), "b": np.bool_(True),
+               "a": np.arange(3), "m": np.eye(2), "l": [np.float32(0.5), None]}
+    expected = {"f": 0.1, "i": 3, "b": True, "a": [0, 1, 2],
+                "m": [[1.0, 0.0], [0.0, 1.0]], "l": [0.5, None]}
+    cli._write_json(tmp_path / "x.json", payload)
+    assert (tmp_path / "x.json").read_text(encoding="utf-8") == (
+        json.dumps(expected, sort_keys=True, indent=2) + "\n")

@@ -17,7 +17,7 @@ from tripodholo import (
     timing_study,
 )
 from tripodholo.experiments import _IntervalEngine, _mc_grid, threads_from_env
-from tripodholo import holonomy, noise as noise_mod
+from tripodholo import experiments, holonomy, noise as noise_mod, paths
 from oracles import spherical_splines
 
 EQUATOR = latitude_loop(np.pi / 2, 1.0)
@@ -324,6 +324,41 @@ def test_full_propagation_step_ceiling_trips_before_any_noise(monkeypatch):
     spec = NoiseSpec.uniform(0.01, 0.1, seed=0)
     with pytest.raises(ValueError, match="MAX_STEPS"):
         mc_delta(EQUATOR, spec, 1e-9, 4, "full_propagation", workers=1)
+
+
+def test_full_propagation_rejects_unpinned_noise_before_any_grid(monkeypatch):
+    def nothing(*args, **kwargs):
+        raise AssertionError("a grid was built or noise was drawn")
+
+    monkeypatch.setattr(experiments, "_mc_grid", nothing)
+    monkeypatch.setattr(noise_mod, "sample_realization", nothing)
+    spec = NoiseSpec.uniform(0.01, 0.5, pinning="none", seed=0)
+    with pytest.raises(ValueError, match="pinned noise"):
+        mc_delta(EQUATOR, spec, 0.02, 4, "full_propagation", workers=1)
+
+
+def test_full_propagation_excludes_realizations_near_the_origin():
+    # At sigma 0.6 some realizations drive the curve within 0.1 min r of the
+    # origin, where perturb rejects them: they are excluded and counted,
+    # with NaN delta and leakage, and the others are propagated. Most of
+    # those leak past the limit too; 2 of these 100 stay in.
+    loop = latitude_loop(1.0)
+    spec = NoiseSpec.uniform(0.6, 0.5, seed=0)
+    eps, n = 0.1, 100
+    grid = _mc_grid(loop, spec, 1.0 / eps)
+    near_origin = []
+    for idx in range(n):
+        try:
+            paths.perturb(loop, noise_mod.sample_realization(spec, grid, idx))
+            near_origin.append(False)
+        except ValueError as exc:
+            assert "origin" in str(exc)
+            near_origin.append(True)
+    assert 0 < sum(near_origin) < n
+    res = mc_delta(loop, spec, eps, n, "full_propagation", workers=1)
+    assert np.array_equal(np.isnan(res.deltas), near_origin)
+    assert np.array_equal(np.isnan(res.leakages), near_origin)
+    assert res.n_excluded >= sum(near_origin)
 
 
 def test_first_order_interval_engine_builds_no_dense_grid():

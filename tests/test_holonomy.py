@@ -85,9 +85,10 @@ def test_solid_angle_reports_the_arc_length_in_the_same_integral():
 
 def test_solid_angle_rejects_pole():
     polar = ControlPath(
-        theta=Profile(fn=lambda s: np.pi * np.abs(np.sin(np.pi * np.asarray(s, float)))),
-        phi=Profile(fn=lambda s: 2 * np.pi * np.asarray(s, float)),
-        radius=Profile(fn=lambda s: np.ones_like(np.asarray(s, float))),
+        theta=Profile(fn=lambda s: np.pi * np.abs(np.sin(np.pi * s)),
+                      dfn=lambda s: np.pi ** 2 * np.cos(np.pi * s) * np.sign(np.sin(np.pi * s))),
+        phi=Profile(fn=lambda s: 2 * np.pi * s, dfn=lambda s: np.full_like(s, 2 * np.pi)),
+        radius=Profile(fn=np.ones_like, dfn=np.zeros_like),
     )
     with pytest.raises(ValueError, match="pole"):
         solid_angle(polar)
@@ -157,13 +158,13 @@ def test_gate_from_connection_examples():
 
 def test_gate_reparametrization_invariance():
     smooth = ControlPath(
-        theta=Profile(fn=lambda s: np.full_like(np.asarray(s, float), 1.1)),
+        theta=Profile(fn=lambda s: np.full_like(s, 1.1), dfn=np.zeros_like),
         phi=Profile(
             fn=lambda s: 2 * np.pi * (3 * np.asarray(s, float) ** 2
                                       - 2 * np.asarray(s, float) ** 3),
             dfn=lambda s: 12 * np.pi * np.asarray(s, float) * (1 - np.asarray(s, float)),
         ),
-        radius=Profile(fn=lambda s: np.ones_like(np.asarray(s, float))),
+        radius=Profile(fn=np.ones_like, dfn=np.zeros_like),
     )
     uniform = latitude_loop(1.1, 1.0)
     assert np.linalg.norm(gate_from_connection(smooth).matrix
@@ -216,6 +217,20 @@ def test_delta_omega_defect_quadratic():
         defects.append(abs(lin - exact))
     slope = fit_power_law(sizes, defects).exponent
     assert abs(slope - 2.0) < 0.1
+
+
+def test_delta_omega_first_order_is_the_same_on_any_time_grid():
+    # A physical-time grid 0..T maps back to [0, 1] whether T is above or
+    # below 1.
+    path = latitude_loop(1.1, 1.0)
+    s = np.linspace(0.0, 1.0, 4001)
+    dx = 1e-3 * np.stack([np.sin(2 * np.pi * s + 0.3), np.cos(4 * np.pi * s),
+                          0.5 + 0.0 * s], axis=1)
+    normalized = delta_omega_first_order(path, dx, s)
+    assert abs(normalized) > 1e-4
+    for period in (0.5, 1.0, 2.0, 50.0):
+        assert delta_omega_first_order(path, dx, period * s) == pytest.approx(
+            normalized, rel=1e-12)
 
 
 def test_delta_variance_closed_forms():
@@ -290,9 +305,9 @@ def test_solid_angle_resolves_phi_corner_off_the_dyadic_points():
         return 2 * np.pi * np.where(np.asarray(s, float) < third, 2.0, 0.5)
 
     path = ControlPath(
-        theta=Profile(fn=lambda s: np.full_like(np.asarray(s, float), theta0)),
+        theta=Profile(fn=lambda s: np.full_like(s, theta0), dfn=np.zeros_like),
         phi=Profile(fn=phi, dfn=phi_d),
-        radius=Profile(fn=lambda s: np.ones_like(np.asarray(s, float))),
+        radius=Profile(fn=np.ones_like, dfn=np.zeros_like),
     )
     assert solid_angle(path).omega_cos == pytest.approx(
         2 * np.pi * np.cos(theta0), abs=1e-9)

@@ -273,10 +273,10 @@ def test_arc_length_latitudes():
 
 def test_arc_length_reparametrization_invariance():
     cubic = ControlPath(
-        theta=Profile(fn=lambda s: np.full_like(np.asarray(s, float), np.pi / 2)),
+        theta=Profile(fn=lambda s: np.full_like(s, np.pi / 2), dfn=np.zeros_like),
         phi=Profile(fn=lambda s: 2 * np.pi * np.asarray(s, float) ** 3,
                     dfn=lambda s: 6 * np.pi * np.asarray(s, float) ** 2),
-        radius=Profile(fn=lambda s: np.ones_like(np.asarray(s, float))),
+        radius=Profile(fn=np.ones_like, dfn=np.zeros_like),
         name="reparam-equator",
     )
     assert arc_length(cubic) == pytest.approx(2 * np.pi, rel=1e-8)
@@ -285,15 +285,15 @@ def test_arc_length_reparametrization_invariance():
 def test_control_path_validation():
     with pytest.raises(ValueError, match="periodic"):
         ControlPath(
-            theta=Profile(fn=lambda s: 1.0 + 0.5 * np.asarray(s, float)),
-            phi=Profile(fn=lambda s: np.zeros_like(np.asarray(s, float))),
-            radius=Profile(fn=lambda s: np.ones_like(np.asarray(s, float))),
+            theta=Profile(fn=lambda s: 1.0 + 0.5 * s, dfn=lambda s: np.full_like(s, 0.5)),
+            phi=Profile(fn=np.zeros_like, dfn=np.zeros_like),
+            radius=Profile(fn=np.ones_like, dfn=np.zeros_like),
         )
     with pytest.raises(ValueError, match="positive"):
         ControlPath(
-            theta=Profile(fn=lambda s: np.full_like(np.asarray(s, float), 1.0)),
-            phi=Profile(fn=lambda s: 2 * np.pi * np.asarray(s, float)),
-            radius=Profile(fn=lambda s: 1.0 - 1.5 * np.asarray(s, float)),
+            theta=Profile(fn=lambda s: np.full_like(s, 1.0), dfn=np.zeros_like),
+            phi=Profile(fn=lambda s: 2 * np.pi * s, dfn=lambda s: np.full_like(s, 2 * np.pi)),
+            radius=Profile(fn=lambda s: 1.0 - 1.5 * s, dfn=lambda s: np.full_like(s, -1.5)),
         )
 
 
@@ -303,15 +303,21 @@ def test_control_path_rejects_non_finite_profiles():
         s = np.asarray(s, float)
         return np.where((s > 0.3) & (s < 0.6), np.nan, 1.0)
 
+    def flat(s):
+        return 0.0 * bump(s)
+
     with pytest.raises(ValueError, match="theta profile is not finite at s = 0.300781"):
-        ControlPath(theta=Profile(fn=bump),
-                    phi=Profile(fn=lambda s: 2 * np.pi * np.asarray(s, float)),
-                    radius=Profile(fn=lambda s: np.ones_like(np.asarray(s, float))))
+        ControlPath(theta=Profile(fn=bump, dfn=flat),
+                    phi=Profile(fn=lambda s: 2 * np.pi * s,
+                                dfn=lambda s: np.full_like(s, 2 * np.pi)),
+                    radius=Profile(fn=np.ones_like, dfn=np.zeros_like))
     with pytest.raises(ValueError, match="radius profile is not finite"):
-        ControlPath(theta=Profile(fn=lambda s: np.full_like(np.asarray(s, float), 1.0)),
-                    phi=Profile(fn=lambda s: 2 * np.pi * np.asarray(s, float)),
-                    radius=Profile(fn=bump))
+        ControlPath(theta=Profile(fn=lambda s: np.full_like(s, 1.0), dfn=np.zeros_like),
+                    phi=Profile(fn=lambda s: 2 * np.pi * s,
+                                dfn=lambda s: np.full_like(s, 2 * np.pi)),
+                    radius=Profile(fn=bump, dfn=flat))
     with pytest.raises(ValueError, match="phi profile is not finite"):
-        ControlPath(theta=Profile(fn=lambda s: np.full_like(np.asarray(s, float), 1.0)),
-                    phi=Profile(fn=lambda s: 2 * np.pi * np.asarray(s, float) * bump(s)),
-                    radius=Profile(fn=lambda s: np.ones_like(np.asarray(s, float))))
+        ControlPath(theta=Profile(fn=lambda s: np.full_like(s, 1.0), dfn=np.zeros_like),
+                    phi=Profile(fn=lambda s: 2 * np.pi * s * bump(s),
+                                dfn=lambda s: 2 * np.pi * bump(s)),
+                    radius=Profile(fn=np.ones_like, dfn=np.zeros_like))

@@ -11,7 +11,6 @@ from tripodholo import (
     evolve,
     evolve_lab,
     evolve_moving,
-    evolve_to_nominal,
     extract_logical_gate,
     fourier_path,
     gate_from_connection,
@@ -176,10 +175,10 @@ def test_r_profile_independence_of_extracted_angle():
 def test_evolve_to_nominal_zero_mismatch_is_exact():
     path = latitude_loop(np.pi / 3, 1.0)
     settings = PropagationSettings(epsilon=0.01)
-    assert np.array_equal(evolve_to_nominal(path, settings, 0.0),
+    assert np.array_equal(evolve_lab(path, settings, 0.0),
                           evolve_lab(path, settings))
     with pytest.raises(ValueError):
-        evolve_to_nominal(path, settings, 60.0)
+        evolve_lab(path, settings, 60.0)
 
 
 def test_evolve_dispatches_on_frame():
@@ -194,7 +193,7 @@ def test_blocking_does_not_change_a_bit(monkeypatch):
     # a partial block of 4.
     settings = PropagationSettings(epsilon=0.002, steps_per_unit_time=21)
     assert _effective_steps(GENERIC_FOURIER, settings, 1.0 / settings.epsilon) % 64 == 4
-    routes = (evolve_lab, evolve_moving, lambda p, s: evolve_to_nominal(p, s, 0.5))
+    routes = (evolve_lab, evolve_moving, lambda p, s: evolve_lab(p, s, 0.5))
     default = [route(GENERIC_FOURIER, settings) for route in routes]
     monkeypatch.setattr(propagator, "BLOCK", 64)
     for route, expected in zip(routes, default):
@@ -228,13 +227,14 @@ def test_non_finite_drive_is_rejected_at_its_first_step(monkeypatch, block):
     # With blocks of 64 steps both lie in the second block.
     monkeypatch.setattr(propagator, "BLOCK", block)
     path = ControlPath(
-        theta=Profile(lambda s: np.full_like(s, 1.0)),
-        phi=Profile(lambda s: 2 * np.pi * s),
-        radius=Profile(lambda s: np.where((s > 0.301) & (s < 0.3015), np.nan, 1.0)),
+        theta=Profile(lambda s: np.full_like(s, 1.0), np.zeros_like),
+        phi=Profile(lambda s: 2 * np.pi * s, lambda s: np.full_like(s, 2 * np.pi)),
+        radius=Profile(lambda s: np.where((s > 0.301) & (s < 0.3015), np.nan, 1.0),
+                       lambda s: np.where((s > 0.301) & (s < 0.3015), np.nan, 0.0)),
     )
     settings = PropagationSettings(epsilon=0.05)
     for propagate, t_bad in ((evolve_lab, r"6\.025"), (evolve_moving, r"6\.025"),
-                             (lambda p, s: evolve_to_nominal(p, s, 0.5), r"6\.175")):
+                             (lambda p, s: evolve_lab(p, s, 0.5), r"6\.175")):
         with pytest.raises(ValueError, match=f"not finite at step time t = {t_bad} "):
             propagate(path, settings)
 
@@ -279,7 +279,7 @@ def test_step_count_above_the_ceiling_is_rejected_before_allocation():
     with pytest.raises(ValueError,
                        match=r"2e\+10 time steps exceed the limit of MAX_STEPS = 8388608"):
         _effective_steps(path, huge, 1e9)
-    for propagate in (evolve_lab, evolve_moving, lambda p, s: evolve_to_nominal(p, s, 1.0)):
+    for propagate in (evolve_lab, evolve_moving, lambda p, s: evolve_lab(p, s, 1.0)):
         with pytest.raises(ValueError, match="MAX_STEPS"):
             propagate(path, huge)
     # 1 / 1e-320 is infinite in floats: the same named error, not OverflowError.

@@ -1,4 +1,5 @@
-"""Invariants of both propagation frames over random smooth loops.
+"""Invariants of both propagation frames, and of the loop geometry, over
+random smooth loops.
 
 The references fold the matrix-step oracle oracles.step_matrices (the
 closed-form 4x4 complex steps) one matrix product at a time, and build the
@@ -16,7 +17,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.transform import Rotation
 
-from tripodholo import PropagationSettings, evolve, fourier_path, Harmonics, tripod
+from tripodholo import (ControlPath, Harmonics, Profile, PropagationSettings, arc_length,
+                        evolve, fourier_path, solid_angle, tripod)
 from tripodholo.propagator import _effective_steps
 
 from oracles import step_matrices
@@ -26,20 +28,38 @@ PROPERTY_SETTINGS = settings(max_examples=20, derandomize=True, deadline=None)
 coeff = st.floats(-1.0, 1.0)
 
 
+def _harmonics(draw, scale):
+    return tuple(scale * draw(coeff) for _ in range(draw(st.integers(0, 2))))
+
+
+@st.composite
+def angles(draw, phi_scale):
+    """theta and phi of a winding-1 loop, with at most two harmonics each;
+    theta stays inside (0.3, pi - 0.3)."""
+    theta = Harmonics(offset=draw(st.floats(1.1, np.pi - 1.1)),
+                      sin=_harmonics(draw, 0.2), cos=_harmonics(draw, 0.2))
+    phi = Harmonics(offset=draw(st.floats(-np.pi, np.pi)), slope=2.0 * np.pi,
+                    sin=_harmonics(draw, phi_scale), cos=_harmonics(draw, phi_scale))
+    return theta, phi
+
+
+@st.composite
+def radii(draw):
+    """A radius profile that stays inside (0.2, 2.0)."""
+    return Harmonics(offset=draw(st.floats(0.9, 1.3)), slope=0.3 * draw(coeff),
+                     sin=_harmonics(draw, 0.1), cos=_harmonics(draw, 0.1))
+
+
 @st.composite
 def loops(draw):
     """A fourier_path with winding 1 and at most two bounded harmonics per
-    profile; theta stays inside (0.3, pi - 0.3) and r inside (0.2, 2.0)."""
-    def harmonics(scale):
-        return tuple(scale * draw(coeff) for _ in range(draw(st.integers(0, 2))))
+    profile."""
+    return fourier_path(*draw(angles(0.4)), draw(radii()))
 
-    theta = Harmonics(offset=draw(st.floats(1.1, np.pi - 1.1)),
-                      sin=harmonics(0.2), cos=harmonics(0.2))
-    phi = Harmonics(offset=draw(st.floats(-np.pi, np.pi)), slope=2.0 * np.pi,
-                    sin=harmonics(0.4), cos=harmonics(0.4))
-    radius = Harmonics(offset=draw(st.floats(0.9, 1.3)), slope=0.3 * draw(coeff),
-                       sin=harmonics(0.1), cos=harmonics(0.1))
-    return fourier_path(theta, phi, radius)
+
+#: Angles whose phi' stays positive: with phi harmonics below 0.16,
+#: sum_k k (|sin_k| + |cos_k|) < 1, so the shadow speed has no kink.
+forward_angles = angles(0.16)
 
 
 epsilons = st.floats(0.02, 0.1)
@@ -120,6 +140,45 @@ def test_frame_duality_converges_at_second_order(path, eps):
     # Halving the step cuts a second-order defect 4x; below 1e-10 it is
     # round-off and no longer falls.
     assert fine < 1e-10 or coarse >= 3.0 * fine
+
+
+def _reparametrized(path, a):
+    """The same loop traversed as s -> u(s) = s + a sin(2 pi s) / (2 pi),
+    |a| < 1, each profile with its chain-rule rate."""
+    def u(s):
+        return s + a * np.sin(2.0 * np.pi * s) / (2.0 * np.pi)
+
+    def du(s):
+        return 1.0 + a * np.cos(2.0 * np.pi * s)
+
+    def compose(p):
+        return Profile(fn=lambda s: p(u(s)), dfn=lambda s: p.derivative(u(s)) * du(s))
+
+    return ControlPath(theta=compose(path.theta), phi=compose(path.phi),
+                       radius=compose(path.radius))
+
+
+@PROPERTY_SETTINGS
+@given(forward_angles, radii())
+def test_solid_angle_forms_differ_by_the_winding(angles, radius):
+    report = solid_angle(fourier_path(*angles, radius))
+    assert abs(report.omega_cos + report.omega_area - 2.0 * np.pi * report.winding) < 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(forward_angles, radii(), st.floats(-0.9, 0.9))
+def test_solid_angle_and_length_survive_reparametrization(angles, radius, a):
+    path = fourier_path(*angles, radius)
+    moved = _reparametrized(path, a)
+    assert abs(solid_angle(moved).omega_cos - solid_angle(path).omega_cos) < 1e-9
+    assert abs(arc_length(moved) - arc_length(path)) < 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(forward_angles, radii(), radii())
+def test_solid_angle_does_not_depend_on_the_radius(angles, r1, r2):
+    assert (solid_angle(fourier_path(*angles, r1)).omega_cos
+            == solid_angle(fourier_path(*angles, r2)).omega_cos)
 
 
 def test_oracles_import_nothing_from_the_library():
