@@ -18,7 +18,6 @@ from .experiments import (
     timing_study,
 )
 from .holonomy import (
-    LogicalGate,
     SolidAngleReport,
     ThickBoundaryReport,
     canonical_angle,
@@ -51,7 +50,6 @@ from .propagator import (
     ExtractedGate,
     PropagationSettings,
     dark_basis_matrix,
-    evolve,
     evolve_lab,
     evolve_moving,
     extract_logical_gate,

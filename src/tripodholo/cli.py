@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -350,17 +350,8 @@ def build_path(config: RunConfig) -> paths.ControlPath:
 def _config_echo(config: RunConfig) -> dict:
     """Config fields relevant to the result (the output dir is environment,
     not experiment, and is excluded so reruns into fresh dirs stay identical)."""
-    echo = {}
-    for field in fields(RunConfig):
-        if field.name == "out_dir":
-            continue
-        value = getattr(config, field.name)
-        if isinstance(value, paths.Harmonics):
-            value = {"offset": value.offset, "slope": value.slope,
-                     "sin": list(value.sin), "cos": list(value.cos)}
-        elif isinstance(value, tuple):
-            value = list(value)
-        echo[field.name] = value
+    echo = asdict(config)
+    del echo["out_dir"]
     return echo
 
 
@@ -431,21 +422,21 @@ def run(config: RunConfig) -> int:
         results["winding"] = report.winding
         results["omega_canonical"] = report.omega_canonical
         results["arc_length"] = report.arc_length
-        results["ideal_gate"] = [[float(v) for v in row] for row in ideal.matrix]
+        results["ideal_gate"] = [[float(v) for v in row] for row in ideal]
 
     if config.subcommand == "gate":
         settings = propagator.PropagationSettings(
             epsilon=config.epsilon, steps_per_unit_time=config.steps_per_unit_time,
-            frame=config.frame,
         )
-        u = propagator.evolve(path, settings)
-        gate = propagator.extract_logical_gate(u, path)
-        ideal = holonomy.ideal_gate(results["omega_canonical"])
+        # Looked up on the module at call time, so a wrapped propagator runs.
+        evolve = (propagator.evolve_moving if config.frame == "moving"
+                  else propagator.evolve_lab)
+        gate = propagator.extract_logical_gate(evolve(path, settings), path)
         results["extracted_block"] = _complex_matrix(gate.block)
         results["extracted_angle"] = gate.angle_estimate
         results["leakage"] = gate.leakage
         results["adiabaticity_lost"] = gate.adiabaticity_lost
-        results["distance_to_ideal"] = float(np.linalg.norm(gate.block - ideal.matrix))
+        results["distance_to_ideal"] = float(np.linalg.norm(gate.block - ideal))
         checks.append((f"leakage below {propagator.LEAKAGE_LIMIT}",
                        not gate.adiabaticity_lost))
         s = np.linspace(0.0, 1.0, 257)
@@ -620,6 +611,11 @@ def main(argv=None) -> int:
         # grids, in whichever subcommand propagates.
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except experiments.ExcludedRealizationsError as exc:
+        # Too few realizations stayed in, mostly gates that lost
+        # adiabaticity: a numerical-contract violation, not a config error.
+        print(f"numerical-contract violation: {exc}", file=sys.stderr)
+        return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4

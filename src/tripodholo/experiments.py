@@ -20,6 +20,11 @@ from . import holonomy, noise, paths, propagator
 MC_MODES = ("first_order", "full_propagation")
 
 
+class ExcludedRealizationsError(ValueError):
+    """Fewer than two realizations of an ensemble stayed in, too few for
+    its statistics."""
+
+
 @dataclass(frozen=True, eq=False)
 class MCResult:
     """Ensemble statistics of the gate-angle error delta_omega."""
@@ -199,7 +204,8 @@ def mc_delta(path: paths.ControlPath, spec: noise.NoiseSpec, epsilon: float,
     extracted angle with the unperturbed loop's angle; it needs pinned
     noise, which closes the loop. Realizations that leak more than 10% of
     the dark population are excluded and counted, and so are those that
-    drive the curve near the origin, with NaN delta and leakage.
+    drive the curve near the origin, with NaN delta and leakage. Raises
+    ExcludedRealizationsError when fewer than two stay in.
     """
     if mode not in MC_MODES:
         raise ValueError(f"mode must be one of {MC_MODES}")
@@ -269,7 +275,9 @@ def mc_delta(path: paths.ControlPath, spec: noise.NoiseSpec, epsilon: float,
     kept = deltas[included]
     n_kept = int(kept.size)
     if n_kept < 2:
-        raise ValueError("too many excluded realizations to report statistics")
+        raise ExcludedRealizationsError(
+            f"too many excluded realizations to report statistics: "
+            f"{n - n_kept} of {n} excluded, fewer than 2 left")
     delta_std = float(np.std(kept, ddof=1))
     try:
         analytic = float(np.sqrt(holonomy.delta_variance_analytic(path, spec, period)))
@@ -334,7 +342,7 @@ def gate_distance(path: paths.ControlPath, epsilon: float,
     u = propagator.evolve_lab(path, settings)
     gate = propagator.extract_logical_gate(u, path)
     ideal = holonomy.gate_from_connection(path)
-    return float(np.linalg.norm(gate.block - ideal.matrix))
+    return float(np.linalg.norm(gate.block - ideal))
 
 
 def convergence_study(path: paths.ControlPath, epsilon_grid,
@@ -401,7 +409,7 @@ def fit_power_law(xs, ys) -> PowerLawFit:
     resid = ly - (intercept + slope * lx)
     ssr = float(np.sum(resid ** 2))
     nn = x.size
-    stderr = float(np.sqrt(ssr / (nn - 2) / sxx)) if nn > 2 else 0.0
+    stderr = float(np.sqrt(ssr / (nn - 2) / sxx))
     return PowerLawFit(
         exponent=slope,
         intercept=intercept,

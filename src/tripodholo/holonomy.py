@@ -26,18 +26,11 @@ def canonical_angle(x: float) -> float:
     return float(y)
 
 
-@dataclass(frozen=True, eq=False)
-class LogicalGate:
-    """Dark-plane rotation by angle omega in the (e_theta, e_phi) basis."""
-
-    omega: float
-    matrix: np.ndarray
-
-
-def ideal_gate(omega: float) -> LogicalGate:
-    """The 2x2 rotation [[cos w, sin w], [-sin w, cos w]]."""
+def ideal_gate(omega: float) -> np.ndarray:
+    """Dark-plane rotation by omega in the (e_theta, e_phi) basis: the 2x2
+    matrix [[cos w, sin w], [-sin w, cos w]]."""
     c, s = np.cos(omega), np.sin(omega)
-    return LogicalGate(omega=float(omega), matrix=np.array([[c, s], [-s, c]]))
+    return np.array([[c, s], [-s, c]])
 
 
 @dataclass(frozen=True)
@@ -99,7 +92,7 @@ def connection(path: ControlPath, s: float) -> np.ndarray:
     return 1j * phid * ct * tripod.rotation_generator(xhat0).astype(complex)
 
 
-def gate_from_connection(path: ControlPath) -> LogicalGate:
+def gate_from_connection(path: ControlPath) -> np.ndarray:
     """Closed-form gate: rotation by the connection's integrated angle, omega_cos."""
     return ideal_gate(solid_angle(path).omega_cos)
 

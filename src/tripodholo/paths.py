@@ -77,8 +77,9 @@ class ControlPath:
     theta: Profile | Harmonics
     phi: Profile | Harmonics
     radius: Profile | Harmonics
-    name: str = "custom"
-    grid: np.ndarray | None = None
+    #: Native sample points of a spline-backed path, None for a function-backed
+    #: one; derived from the profiles, never passed in.
+    grid = None
 
     def __post_init__(self):
         dense = self.grid if self.grid is not None else np.linspace(0.0, 1.0, 1025)
@@ -143,7 +144,11 @@ class _SplinePath(ControlPath):
     """Path whose profiles are the columns of one vector spline of
     (theta, phi, r), so spherical evaluates all three in one pass."""
 
-    spline: CubicSpline | None = None
+    spline: CubicSpline
+
+    @property
+    def grid(self):
+        return self.spline.x
 
     def spherical(self, s):
         v = self.spline(np.asarray(s, dtype=float))
@@ -160,7 +165,6 @@ def latitude_loop(theta0: float, r0: float = 1.0) -> ControlPath:
         theta=Harmonics(float(theta0)),
         phi=Harmonics(0.0, slope=2.0 * np.pi),
         radius=Harmonics(float(r0)),
-        name="latitude",
     )
 
 
@@ -191,7 +195,6 @@ def lune_path(dphi: float, delta: float = 1e-3) -> ControlPath:
                     (half_pi - delta, 0.0, -(half_pi - delta), 0.0)),
         phi=_legs((0.0, 0.0, dphi, 0.0), (0.0, dphi, 0.0, dphi)),
         radius=Harmonics(1.0),
-        name="lune",
     )
 
 
@@ -249,7 +252,6 @@ def fourier_path(theta_coeffs: Harmonics, phi_coeffs: Harmonics,
         theta=theta_coeffs,
         phi=phi_coeffs,
         radius=r_coeffs,
-        name="fourier",
     )
 
 
@@ -298,8 +300,6 @@ def perturb(path: ControlPath, realization) -> ControlPath:
         *(Profile(fn=PPoly.construct_fast(spline.c[..., k], spline.x),
                   dfn=PPoly.construct_fast(slope.c[..., k], slope.x))
           for k in range(3)),
-        name=path.name + "+noise",
-        grid=s,
         spline=spline,
     )
 

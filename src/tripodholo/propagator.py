@@ -41,15 +41,12 @@ class PropagationSettings:
 
     epsilon: float
     steps_per_unit_time: int = 20
-    frame: str = "lab"
 
     def __post_init__(self):
         if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ValueError("epsilon must be positive and finite")
         if self.steps_per_unit_time < 1:
             raise ValueError("steps_per_unit_time must be at least 1")
-        if self.frame not in ("lab", "moving"):
-            raise ValueError("frame must be 'lab' or 'moving'")
 
 
 class StepLimitError(ValueError):
@@ -180,14 +177,6 @@ def _effective_steps(path: ControlPath, settings: PropagationSettings,
         raise StepLimitError(f"{count:.6g} time steps exceed the limit of "
                              f"MAX_STEPS = {MAX_STEPS}")
     return max(4, int(count))
-
-
-def evolve(path: ControlPath, settings: PropagationSettings) -> np.ndarray:
-    """Propagator over one period in the frame that settings.frame names:
-    U(T) for "lab", V(T) for "moving"."""
-    if settings.frame == "moving":
-        return evolve_moving(path, settings)
-    return evolve_lab(path, settings)
 
 
 def evolve_lab(path: ControlPath, settings: PropagationSettings,

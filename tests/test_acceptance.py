@@ -35,7 +35,7 @@ def test_criterion_01_analytic_gate_vs_dynamics(capsys):
     report = th.solid_angle(path)
     assert report.omega_cos == pytest.approx(np.pi, abs=1e-8)
     ideal = th.gate_from_connection(path)
-    assert np.allclose(ideal.matrix, -np.eye(2), atol=1e-10)
+    assert np.allclose(ideal, -np.eye(2), atol=1e-10)
     gate = th.extract_logical_gate(
         th.evolve_lab(path, th.PropagationSettings(epsilon=0.0125)), path)
     distance = float(np.linalg.norm(gate.block - (-np.eye(2))))
@@ -252,7 +252,7 @@ def test_criterion_11_r_profile_independence(capsys):
     ideal = th.gate_from_connection(flat)
     gate_flat = th.extract_logical_gate(th.evolve_lab(flat, settings), flat)
     gate_var = th.extract_logical_gate(th.evolve_lab(varying, settings), varying)
-    d_eps = float(np.linalg.norm(gate_flat.block - ideal.matrix))
+    d_eps = float(np.linalg.norm(gate_flat.block - ideal))
     d_pair = float(np.linalg.norm(gate_flat.block - gate_var.block))
     elapsed = time.time() - start
     ok = d_pair <= 2.0 * d_eps

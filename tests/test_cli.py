@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from tripodholo import cli, holonomy, noise, paths, quadrature, tripod
+from tripodholo.propagator import (PropagationSettings, evolve_lab, evolve_moving,
+                                   extract_logical_gate)
 
 MINIMAL_GATE = """\
 [path]
@@ -132,6 +134,15 @@ def test_readme_example_configs_parse():
     assert blocks
     for block in blocks:
         cli.parse_config(block)
+
+
+def test_readme_quick_start_runs(capsys):
+    # Guards the public names the quick start calls.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 3
 
 
 def test_gate_run_artifacts(tmp_path, monkeypatch):
@@ -511,6 +522,48 @@ def test_full_propagation_counts_realizations_near_the_origin(tmp_path):
     rows = (out / "realizations.csv").read_text(encoding="utf-8").splitlines()[1:]
     near_origin = [r for r in rows if r.split(",")[1:] == ["nan", "nan", "false"]]
     assert len(near_origin) >= 38
+
+
+@pytest.mark.parametrize("subcommand, experiment", [
+    ("noise-mc", "n = 100"),
+    ("scaling", "n = 100\nepsilon_grid = 0.1, 0.2, 0.5, 1.0\nsigma0 = 0.03"),
+])
+def test_too_few_realizations_left_exits_3_without_a_traceback(tmp_path, capsys,
+                                                                subcommand, experiment):
+    # The noiseless loop already leaks 0.34 at eps = 0.1, above the leakage
+    # limit, so every realization of the (first) ensemble is excluded.
+    cfg = tmp_path / "cfg.ini"
+    text = (MINIMAL_GATE.replace("theta0 = 1.0471975511965976", "theta0 = 1.0")
+            .replace("epsilon = 0.05", "epsilon = 0.1")
+            .replace("subcommand = gate", f"subcommand = {subcommand}"))
+    cfg.write_text(text + f"mode = full_propagation\n{experiment}\n\n"
+                   "[noise]\nsigma = 0.01\ntau = 0.5\n", encoding="utf-8")
+    assert cli.main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "100 of 100 excluded" in err
+    assert "Traceback" not in err
+
+
+def test_evolve_dispatches_on_frame(tmp_path, capsys):
+    path = cli.build_path(cli.parse_config(MINIMAL_GATE))
+    settings = PropagationSettings(epsilon=0.05)
+    for frame, route in (("lab", evolve_lab), ("moving", evolve_moving)):
+        cfg = tmp_path / f"{frame}.ini"
+        cfg.write_text(MINIMAL_GATE.replace("epsilon = 0.05",
+                                            f"epsilon = 0.05\nframe = {frame}"),
+                       encoding="utf-8")
+        out = tmp_path / frame
+        assert cli.main(["gate", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        block = extract_logical_gate(route(path, settings), path).block
+        assert summary["results"]["extracted_block"] == cli._complex_matrix(block)
+    cfg = tmp_path / "rotating.ini"
+    cfg.write_text(MINIMAL_GATE.replace("epsilon = 0.05", "epsilon = 0.05\nframe = rotating"),
+                   encoding="utf-8")
+    assert cli.main(["gate", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert "[propagation] frame:" in err
+    assert re.search(r"line \d+:", err)
 
 
 def test_json_encodes_numpy_values_as_python_values(tmp_path):

@@ -172,7 +172,6 @@ def test_perturbed_realization_keeps_its_bits():
         theta=Profile(fn=theta, dfn=theta.derivative()),
         phi=Profile(fn=phi, dfn=phi.derivative()),
         radius=Profile(fn=radius, dfn=radius.derivative()),
-        grid=s,
     )
     settings = PropagationSettings(epsilon=eps, steps_per_unit_time=200)
     gates = [extract_logical_gate(evolve_lab(p, settings), EQUATOR)
@@ -277,6 +276,15 @@ def test_mc_excludes_non_adiabatic_realizations():
     spec = NoiseSpec.uniform(0.001, 0.5, seed=31)
     with pytest.raises(ValueError, match="excluded"):
         mc_delta(EQUATOR, spec, 0.05, 4, "full_propagation", workers=1)
+
+
+def test_too_few_realizations_left_is_a_named_error():
+    # The noiseless latitude loop at theta0 = 1, eps = 0.1 already leaks 0.34,
+    # so every realization is excluded.
+    spec = NoiseSpec.uniform(0.01, 0.5, seed=0)
+    with pytest.raises(experiments.ExcludedRealizationsError, match="5 of 5 excluded"):
+        mc_delta(latitude_loop(1.0), spec, 0.1, 5, "full_propagation", workers=1)
+    assert issubclass(experiments.ExcludedRealizationsError, ValueError)
 
 
 def test_analytic_delta_nan_for_varying_radius():

@@ -95,11 +95,11 @@ def test_solid_angle_rejects_pole():
 
 
 def test_ideal_gate_examples():
-    assert np.allclose(ideal_gate(0.0).matrix, np.eye(2))
-    assert np.allclose(ideal_gate(np.pi / 2).matrix, [[0, 1], [-1, 0]], atol=1e-15)
-    assert np.allclose(ideal_gate(np.pi).matrix, -np.eye(2), atol=1e-15)
-    assert np.allclose(ideal_gate(0.4).matrix, ideal_gate(0.4 + 2 * np.pi).matrix)
-    m = ideal_gate(1.234).matrix
+    assert np.allclose(ideal_gate(0.0), np.eye(2))
+    assert np.allclose(ideal_gate(np.pi / 2), [[0, 1], [-1, 0]], atol=1e-15)
+    assert np.allclose(ideal_gate(np.pi), -np.eye(2), atol=1e-15)
+    assert np.allclose(ideal_gate(0.4), ideal_gate(0.4 + 2 * np.pi))
+    m = ideal_gate(1.234)
     assert abs(np.linalg.det(m) - 1.0) < 1e-12
     assert np.linalg.norm(m @ m.T - np.eye(2)) < 1e-12
 
@@ -150,9 +150,9 @@ def test_connection_matches_finite_difference():
 
 
 def test_gate_from_connection_examples():
-    assert np.allclose(gate_from_connection(latitude_loop(np.pi / 3)).matrix,
+    assert np.allclose(gate_from_connection(latitude_loop(np.pi / 3)),
                        -np.eye(2), atol=1e-10)
-    assert np.allclose(gate_from_connection(latitude_loop(np.pi / 2)).matrix,
+    assert np.allclose(gate_from_connection(latitude_loop(np.pi / 2)),
                        np.eye(2), atol=1e-10)
 
 
@@ -167,8 +167,8 @@ def test_gate_reparametrization_invariance():
         radius=Profile(fn=np.ones_like, dfn=np.zeros_like),
     )
     uniform = latitude_loop(1.1, 1.0)
-    assert np.linalg.norm(gate_from_connection(smooth).matrix
-                          - gate_from_connection(uniform).matrix) < 1e-8
+    assert np.linalg.norm(gate_from_connection(smooth)
+                          - gate_from_connection(uniform)) < 1e-8
     assert solid_angle(smooth).omega_cos == pytest.approx(
         solid_angle(uniform).omega_cos, abs=1e-8)
 

@@ -277,7 +277,6 @@ def test_arc_length_reparametrization_invariance():
         phi=Profile(fn=lambda s: 2 * np.pi * np.asarray(s, float) ** 3,
                     dfn=lambda s: 6 * np.pi * np.asarray(s, float) ** 2),
         radius=Profile(fn=np.ones_like, dfn=np.zeros_like),
-        name="reparam-equator",
     )
     assert arc_length(cubic) == pytest.approx(2 * np.pi, rel=1e-8)
 

@@ -8,7 +8,6 @@ from tripodholo import (
     Harmonics,
     PropagationSettings,
     canonical_angle,
-    evolve,
     evolve_lab,
     evolve_moving,
     extract_logical_gate,
@@ -58,8 +57,6 @@ def test_settings_validation():
             PropagationSettings(epsilon=epsilon)
     with pytest.raises(ValueError):
         PropagationSettings(epsilon=0.1, steps_per_unit_time=0)
-    with pytest.raises(ValueError):
-        PropagationSettings(epsilon=0.1, frame="rotating")
 
 
 def test_constant_path_matches_single_step():
@@ -181,13 +178,6 @@ def test_evolve_to_nominal_zero_mismatch_is_exact():
         evolve_lab(path, settings, 60.0)
 
 
-def test_evolve_dispatches_on_frame():
-    for frame, route in (("lab", evolve_lab), ("moving", evolve_moving)):
-        settings = PropagationSettings(epsilon=0.05, frame=frame)
-        assert np.array_equal(evolve(GENERIC_FOURIER, settings),
-                              route(GENERIC_FOURIER, settings))
-
-
 def test_blocking_does_not_change_a_bit(monkeypatch):
     # 10 500 steps: two blocks of the default size, or 164 blocks of 64 and
     # a partial block of 4.
@@ -266,8 +256,8 @@ def test_timing_error_matches_first_order_prediction():
     from tripodholo.holonomy import ideal_gate
 
     pred = np.linalg.norm(
-        r_rotation(path, s0).T.astype(complex) @ basis @ ideal_gate(omega_full * s0).matrix
-        - basis @ ideal_gate(omega_full).matrix)
+        r_rotation(path, s0).T.astype(complex) @ basis @ ideal_gate(omega_full * s0)
+        - basis @ ideal_gate(omega_full))
     assert measured == pytest.approx(pred, rel=0.05)
 
 

@@ -18,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial.transform import Rotation
 
 from tripodholo import (ControlPath, Harmonics, Profile, PropagationSettings, arc_length,
-                        evolve, fourier_path, solid_angle, tripod)
+                        evolve_lab, evolve_moving, extract_logical_gate, fourier_path,
+                        solid_angle, tripod)
 from tripodholo.propagator import _effective_steps
 
 from oracles import step_matrices
@@ -99,28 +100,28 @@ def moving_reference(path, s):
 @PROPERTY_SETTINGS
 @given(loops(), epsilons)
 def test_lab_core_matches_folded_complex_steps(path, eps):
-    u = evolve(path, PropagationSettings(epsilon=eps, frame="lab"))
+    u = evolve_lab(path, PropagationSettings(epsilon=eps))
     assert np.max(np.abs(u - lab_reference(path, PropagationSettings(epsilon=eps)))) < 1e-11
 
 
 @PROPERTY_SETTINGS
 @given(loops(), epsilons)
 def test_moving_core_matches_folded_split_steps(path, eps):
-    v = evolve(path, PropagationSettings(epsilon=eps, frame="moving"))
+    v = evolve_moving(path, PropagationSettings(epsilon=eps))
     assert np.max(np.abs(v - moving_reference(path, PropagationSettings(epsilon=eps)))) < 1e-11
 
 
 @PROPERTY_SETTINGS
-@given(loops(), epsilons, st.sampled_from(("lab", "moving")))
-def test_propagators_are_unitary(path, eps, frame):
-    u = evolve(path, PropagationSettings(epsilon=eps, frame=frame))
+@given(loops(), epsilons, st.sampled_from((evolve_lab, evolve_moving)))
+def test_propagators_are_unitary(path, eps, evolve):
+    u = evolve(path, PropagationSettings(epsilon=eps))
     assert np.linalg.norm(u.conj().T @ u - np.eye(4)) < 1e-12
 
 
 @PROPERTY_SETTINGS
-@given(loops(), epsilons, st.sampled_from(("lab", "moving")))
-def test_propagators_are_deterministic(path, eps, frame):
-    s = PropagationSettings(epsilon=eps, frame=frame)
+@given(loops(), epsilons, st.sampled_from((evolve_lab, evolve_moving)))
+def test_propagators_are_deterministic(path, eps, evolve):
+    s = PropagationSettings(epsilon=eps)
     assert np.array_equal(evolve(path, s), evolve(path, s))
 
 
@@ -130,9 +131,8 @@ def test_frame_duality_converges_at_second_order(path, eps):
     r1 = tripod.r_rotation(path, 1.0)
 
     def defect(spu):
-        u, v = (evolve(path, PropagationSettings(epsilon=eps, steps_per_unit_time=spu,
-                                                 frame=frame))
-                for frame in ("lab", "moving"))
+        s = PropagationSettings(epsilon=eps, steps_per_unit_time=spu)
+        u, v = evolve_lab(path, s), evolve_moving(path, s)
         return float(np.linalg.norm(v - r1 @ u))
 
     coarse, fine = defect(100), defect(200)
@@ -179,6 +179,18 @@ def test_solid_angle_and_length_survive_reparametrization(angles, radius, a):
 def test_solid_angle_does_not_depend_on_the_radius(angles, r1, r2):
     assert (solid_angle(fourier_path(*angles, r1)).omega_cos
             == solid_angle(fourier_path(*angles, r2)).omega_cos)
+
+
+@PROPERTY_SETTINGS
+@given(loops(), st.sampled_from((-1.0, 1.0)), st.floats(0.1, 0.9), st.floats(0.002, 0.01))
+def test_propagated_gate_survives_reparametrization_to_first_order(path, sign, size, eps):
+    # The gate is geometric, so the two traversals differ only by their
+    # O(epsilon) adiabatic corrections. |a| >= 0.1 keeps the two apart.
+    a = sign * size
+    s = PropagationSettings(epsilon=eps)
+    moved = _reparametrized(path, a)
+    blocks = [extract_logical_gate(evolve_lab(p, s), p).block for p in (path, moved)]
+    assert np.linalg.norm(blocks[0] - blocks[1]) <= 5.0 * eps
 
 
 def test_oracles_import_nothing_from_the_library():
