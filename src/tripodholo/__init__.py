@@ -48,7 +48,6 @@ from .paths import (
 )
 from .propagator import (
     ExtractedGate,
-    PropagationSettings,
     dark_basis_matrix,
     evolve_lab,
     evolve_moving,

@@ -49,7 +49,7 @@ class RunConfig:
     f_phi: paths.Harmonics | None = None
     f_r: paths.Harmonics | None = None
     epsilon: float = 0.05
-    steps_per_unit_time: int = 20
+    steps_per_unit_time: int = propagator.STEPS_PER_UNIT_TIME
     frame: str = "lab"
     sigma: tuple[float, float, float] = (0.0, 0.0, 0.0)
     tau: tuple[float, float, float] = (1.0, 1.0, 1.0)
@@ -235,7 +235,8 @@ def parse_config(text: str, subcommand: str | None = None) -> RunConfig:
 
     prop = secs["propagation"]
     epsilon = prop.floating("epsilon", default=0.05, minimum=0.0, exclusive_min=True)
-    spu = prop.integer("steps_per_unit_time", default=20, minimum=1)
+    spu = prop.integer("steps_per_unit_time", default=propagator.STEPS_PER_UNIT_TIME,
+                       minimum=1)
     frame = prop.string("frame", default="lab", choices=("lab", "moving"))
     prop.reject_unknown()
 
@@ -399,7 +400,8 @@ def run(config: RunConfig) -> int:
     config error.
     """
     try:
-        workers = experiments.threads_from_env()
+        # Parsed up front so that a bad value is a config error before any work.
+        experiments.threads_from_env()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     out = Path(config.out_dir)
@@ -425,13 +427,11 @@ def run(config: RunConfig) -> int:
         results["ideal_gate"] = [[float(v) for v in row] for row in ideal]
 
     if config.subcommand == "gate":
-        settings = propagator.PropagationSettings(
-            epsilon=config.epsilon, steps_per_unit_time=config.steps_per_unit_time,
-        )
         # Looked up on the module at call time, so a wrapped propagator runs.
         evolve = (propagator.evolve_moving if config.frame == "moving"
                   else propagator.evolve_lab)
-        gate = propagator.extract_logical_gate(evolve(path, settings), path)
+        u = evolve(path, config.epsilon, steps_per_unit_time=config.steps_per_unit_time)
+        gate = propagator.extract_logical_gate(u, path)
         results["extracted_block"] = _complex_matrix(gate.block)
         results["extracted_angle"] = gate.angle_estimate
         results["leakage"] = gate.leakage
@@ -459,8 +459,7 @@ def run(config: RunConfig) -> int:
     elif config.subcommand == "noise-mc":
         spec = noise.NoiseSpec(sigma=config.sigma, tau=config.tau,
                                pinning=config.pinning, seed=config.seed)
-        mc = experiments.mc_delta(path, spec, config.epsilon, config.n,
-                                  config.mode, workers=workers)
+        mc = experiments.mc_delta(path, spec, config.epsilon, config.n, config.mode)
         results["delta_mean"] = mc.delta_mean
         results["delta_std"] = mc.delta_std
         results["std_error"] = mc.std_error
@@ -480,7 +479,7 @@ def run(config: RunConfig) -> int:
         sr = experiments.scaling_study(
             path, config.p, config.q, config.tau0, config.sigma0,
             config.epsilon_grid, config.n, config.mode,
-            pinning=config.pinning, base_seed=config.seed, workers=workers,
+            pinning=config.pinning, base_seed=config.seed,
         )
         tol = config.tolerance if config.tolerance is not None else _DEFAULT_TOLERANCE["scaling"]
         ok = abs(sr.fit.exponent - sr.predicted_exponent) <= tol

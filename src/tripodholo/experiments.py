@@ -34,7 +34,6 @@ class MCResult:
     delta_std: float
     std_error: float
     analytic_delta: float
-    mode: str
     n_excluded: int
     deltas: np.ndarray
     leakages: np.ndarray
@@ -82,15 +81,6 @@ def threads_from_env() -> int | None:
     return value
 
 
-def _resolve_workers(workers) -> int:
-    if workers is not None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        return int(workers)
-    env = threads_from_env()
-    return env if env is not None else min(8, os.cpu_count() or 1)
-
-
 def _mc_intervals(path: paths.ControlPath, spec: noise.NoiseSpec, period: float) -> int:
     """Interval count of the uniform grid resolving both the noise
     correlation and the drive."""
@@ -104,8 +94,17 @@ def _mc_intervals(path: paths.ControlPath, spec: noise.NoiseSpec, period: float)
 
 
 def _mc_grid(path: paths.ControlPath, spec: noise.NoiseSpec, period: float) -> np.ndarray:
-    """Uniform grid over one period with _mc_intervals intervals."""
-    return np.linspace(0.0, period, _mc_intervals(path, spec, period) + 1)
+    """Uniform grid over one period with _mc_intervals intervals.
+
+    Raises StepLimitError, before any allocation, when the count exceeds
+    propagator.MAX_STEPS.
+    """
+    n = _mc_intervals(path, spec, period)
+    if n > propagator.MAX_STEPS:
+        raise propagator.StepLimitError(
+            f"{n} noise grid intervals exceed the limit of "
+            f"MAX_STEPS = {propagator.MAX_STEPS}")
+    return np.linspace(0.0, period, n + 1)
 
 
 class _IntervalEngine:
@@ -196,7 +195,7 @@ class _IntervalEngine:
 
 
 def mc_delta(path: paths.ControlPath, spec: noise.NoiseSpec, epsilon: float,
-             n: int, mode: str, workers: int | None = None) -> MCResult:
+             n: int, mode: str) -> MCResult:
     """Monte Carlo estimate of the angle-error spread Delta.
 
     first_order evaluates the linear response integral on each realization;
@@ -206,24 +205,24 @@ def mc_delta(path: paths.ControlPath, spec: noise.NoiseSpec, epsilon: float,
     the dark population are excluded and counted, and so are those that
     drive the curve near the origin, with NaN delta and leakage. Raises
     ExcludedRealizationsError when fewer than two stay in.
+
+    The ensemble runs on THREADS worker threads, or on min(8, cpu count)
+    when THREADS is unset; the result is the same at any count.
     """
     if mode not in MC_MODES:
         raise ValueError(f"mode must be one of {MC_MODES}")
     if mode == "full_propagation" and spec.pinning == "none":
         raise ValueError("full_propagation needs pinned noise: unpinned noise "
                          "does not close the loop")
-    if n < 1:
-        raise ValueError("need at least one realization")
-    n_workers = _resolve_workers(workers)
+    if n < 2:
+        raise ValueError(f"n must be at least 2 to estimate a spread, got {n}")
+    n_workers = threads_from_env() or min(8, os.cpu_count() or 1)
     period = 1.0 / float(epsilon)
     n_intervals = _mc_intervals(path, spec, period)
     if mode == "full_propagation":
         spu = int(np.ceil(n_intervals / period))
-        settings = propagator.PropagationSettings(
-            epsilon=float(epsilon), steps_per_unit_time=spu
-        )
         # Rejects an oversized ensemble before its grid or noise exists.
-        propagator._effective_steps(path, settings, period)
+        propagator._effective_steps(path, float(epsilon), spu)
     if mode == "first_order":
         # The interval engine never reads the dense grid, so only the direct
         # sampler builds it.
@@ -258,7 +257,7 @@ def mc_delta(path: paths.ControlPath, spec: noise.NoiseSpec, epsilon: float,
                 # the gap collapses: exclude the realization, like a leaky
                 # one (NaN leakage is never within the limit).
                 return float("nan"), float("nan")
-            u = propagator.evolve_lab(perturbed, settings)
+            u = propagator.evolve_lab(perturbed, float(epsilon), steps_per_unit_time=spu)
             gate = propagator.extract_logical_gate(u, path)
             d = holonomy.canonical_angle(gate.angle_estimate - omega_ref)
             return d, gate.leakage
@@ -289,7 +288,6 @@ def mc_delta(path: paths.ControlPath, spec: noise.NoiseSpec, epsilon: float,
         delta_std=delta_std,
         std_error=delta_std / np.sqrt(2.0 * n_kept),
         analytic_delta=analytic,
-        mode=mode,
         n_excluded=int(n - n_kept),
         deltas=deltas,
         leakages=leakages,
@@ -303,8 +301,7 @@ def _point_seed(base_seed: int, point: int) -> int:
 
 def scaling_study(path: paths.ControlPath, p: float, q: float, tau0: float,
                   sigma0: float, epsilon_grid, n: int, mode: str,
-                  pinning: str = "endpoint-ramp", base_seed: int = 0,
-                  workers: int | None = None) -> ScalingResult:
+                  pinning: str = "endpoint-ramp", base_seed: int = 0) -> ScalingResult:
     """Delta(epsilon) with noise scaled as tau = tau0 eps^p, sigma = sigma0 eps^q.
 
     The fitted exponent should come out at p/2 + q + 1/2.
@@ -319,7 +316,7 @@ def scaling_study(path: paths.ControlPath, p: float, q: float, tau0: float,
         tau, sigma = noise.scaling_params(float(e), p, q, tau0, sigma0)
         spec = noise.NoiseSpec.uniform(sigma, tau, pinning=pinning,
                                        seed=_point_seed(base_seed, j))
-        results.append(mc_delta(path, spec, float(e), n, mode, workers=workers))
+        results.append(mc_delta(path, spec, float(e), n, mode))
     deltas = np.array([r.delta_std for r in results])
     fit = fit_power_law(eps, deltas)
     return ScalingResult(
@@ -334,19 +331,18 @@ def scaling_study(path: paths.ControlPath, p: float, q: float, tau0: float,
 
 
 def gate_distance(path: paths.ControlPath, epsilon: float,
-                  steps_per_unit_time: int = 20) -> float:
+                  steps_per_unit_time: int = propagator.STEPS_PER_UNIT_TIME) -> float:
     """Frobenius distance of the propagated dark block from the ideal gate."""
-    settings = propagator.PropagationSettings(
-        epsilon=float(epsilon), steps_per_unit_time=steps_per_unit_time
-    )
-    u = propagator.evolve_lab(path, settings)
+    u = propagator.evolve_lab(path, float(epsilon),
+                              steps_per_unit_time=steps_per_unit_time)
     gate = propagator.extract_logical_gate(u, path)
     ideal = holonomy.gate_from_connection(path)
     return float(np.linalg.norm(gate.block - ideal))
 
 
 def convergence_study(path: paths.ControlPath, epsilon_grid,
-                      steps_per_unit_time: int = 20) -> PowerLawFit:
+                      steps_per_unit_time: int = propagator.STEPS_PER_UNIT_TIME
+                      ) -> PowerLawFit:
     """Noiseless gate error versus epsilon; the slope should be about 1."""
     eps = np.sort(np.asarray(epsilon_grid, dtype=float))
     dists = np.array([gate_distance(path, e, steps_per_unit_time) for e in eps])
@@ -354,7 +350,8 @@ def convergence_study(path: paths.ControlPath, epsilon_grid,
 
 
 def timing_mismatch_error(path: paths.ControlPath, t0: float, delta_t: float,
-                          steps_per_unit_time: int = 20) -> float:
+                          steps_per_unit_time: int = propagator.STEPS_PER_UNIT_TIME
+                          ) -> float:
     """Gate error caused by stopping at the nominal time T0 when the drive's
     true period is T0 + delta_t.
 
@@ -363,17 +360,17 @@ def timing_mismatch_error(path: paths.ControlPath, t0: float, delta_t: float,
     isolates the mismatch effect (at delta_t = 0 it is exactly zero) from
     the intrinsic adiabatic error the two runs share.
     """
-    settings = propagator.PropagationSettings(
-        epsilon=1.0 / float(t0), steps_per_unit_time=steps_per_unit_time
-    )
-    u_mis = propagator.evolve_lab(path, settings, float(delta_t))
-    u_ref = propagator.evolve_lab(path, settings)
+    epsilon = 1.0 / float(t0)
+    u_mis = propagator.evolve_lab(path, epsilon, steps_per_unit_time=steps_per_unit_time,
+                                  delta_t=float(delta_t))
+    u_ref = propagator.evolve_lab(path, epsilon, steps_per_unit_time=steps_per_unit_time)
     basis = propagator.dark_basis_matrix(path).astype(complex)
     return float(np.linalg.norm((u_mis - u_ref) @ basis))
 
 
 def timing_study(path: paths.ControlPath, delta_t: float, t0_grid,
-                 steps_per_unit_time: int = 20) -> PowerLawFit:
+                 steps_per_unit_time: int = propagator.STEPS_PER_UNIT_TIME
+                 ) -> PowerLawFit:
     """Timing-mismatch gate error versus the nominal period T0.
 
     With fixed delta_t the mismatch rotates the final frame away from

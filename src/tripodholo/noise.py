@@ -62,8 +62,6 @@ class NoiseRealization:
 
     grid: np.ndarray
     dx: np.ndarray
-    spec: NoiseSpec
-    index: int
 
 
 def sample_realization(spec: NoiseSpec, grid, index: int) -> NoiseRealization:
@@ -109,7 +107,7 @@ def sample_realization(spec: NoiseSpec, grid, index: int) -> NoiseRealization:
         elif spec.pinning == "endpoint-ramp":
             series = series * _ramp(t, tau, total)
         dx[:, i] = series
-    return NoiseRealization(grid=t.copy(), dx=dx, spec=spec, index=int(index))
+    return NoiseRealization(grid=t.copy(), dx=dx)
 
 
 def _ramp(t: np.ndarray, tau: float, total: float) -> np.ndarray:

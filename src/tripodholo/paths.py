@@ -70,8 +70,8 @@ class ControlPath:
     """Driving curve x(s) = r(s) (sin th cos ph, sin th sin ph, cos th).
 
     Profiles are immutable after construction; evaluation is pure. The
-    physical period T = 1/epsilon lives in the propagation settings, not
-    here: the same geometric loop can be driven at any speed.
+    physical period T = 1/epsilon is a propagator argument, not part of
+    the path: the same geometric loop can be driven at any speed.
     """
 
     theta: Profile | Harmonics

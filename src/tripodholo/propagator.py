@@ -34,31 +34,21 @@ from . import tripod
 from .paths import ControlPath
 
 
-@dataclass(frozen=True)
-class PropagationSettings:
-    """Adiabatic parameter (inverse period, with the drive scale at 1) and
-    time-grid density."""
-
-    epsilon: float
-    steps_per_unit_time: int = 20
-
-    def __post_init__(self):
-        if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ValueError("epsilon must be positive and finite")
-        if self.steps_per_unit_time < 1:
-            raise ValueError("steps_per_unit_time must be at least 1")
-
-
 class StepLimitError(ValueError):
-    """A propagation would need more than MAX_STEPS time steps."""
+    """A propagation would need more than MAX_STEPS time steps, or a noise
+    grid more than MAX_STEPS intervals."""
 
+
+#: Default time-grid density of a propagation, in steps per unit time.
+STEPS_PER_UNIT_TIME = 20
 
 #: Largest step count one propagation may take. Steps are built and reduced
 #: BLOCK at a time, so the memory a propagation needs does not grow with the
 #: count (1.6-1.7 MB traced peak in the lab frame, 2.6-2.7 MB in the moving
 #: frame, from 4e4 steps to this cap). The cap bounds its run time instead,
-#: about 1.7 s (lab) and 3.1 s (moving) on a 2-core Xeon, and the noise grid
-#: of the same resolution that mc_delta's full-propagation mode builds whole.
+#: about 1.7 s (lab) and 3.1 s (moving) on a 2-core Xeon, and the dense noise
+#: grid that mc_delta builds whole for full propagation and for the direct
+#: first-order sampler.
 MAX_STEPS = 2 ** 23
 
 #: Steps built and reduced at a time, so that a block's steps and its tree
@@ -160,26 +150,32 @@ def _propagate(steps, n: int, dt: float) -> np.ndarray:
     return _Q[:, None] * big_m * _Q.conj()[None, :]
 
 
-def _effective_steps(path: ControlPath, settings: PropagationSettings,
-                     t_end: float) -> int:
-    """Step count keeping dt <= min(1/spu, 0.1/max r).
+def _effective_steps(path: ControlPath, epsilon: float,
+                     steps_per_unit_time: int) -> int:
+    """Step count over T = 1/epsilon keeping dt <= min(1/spu, 0.1/max r).
 
-    Raises StepLimitError when the count exceeds MAX_STEPS, before any step
-    is allocated; the comparison runs in floats, so an infinite count gets
-    the same error.
+    Raises ValueError unless epsilon is positive and finite and spu is at
+    least 1, and StepLimitError when the count exceeds MAX_STEPS, before any
+    step is allocated; the comparison runs in floats, so an infinite count
+    gets the same error.
     """
+    if not (np.isfinite(epsilon) and epsilon > 0.0):
+        raise ValueError("epsilon must be positive and finite")
+    if steps_per_unit_time < 1:
+        raise ValueError("steps_per_unit_time must be at least 1")
     rr = path.radius(np.linspace(0.0, 1.0, 257))
     # A non-finite radius is reported by _propagate, with the step it hits.
     r_max = np.max(rr, where=np.isfinite(rr), initial=0.0)
-    per_unit = max(settings.steps_per_unit_time, int(np.ceil(10.0 * r_max)))
-    count = np.ceil(t_end * per_unit)
+    per_unit = max(steps_per_unit_time, int(np.ceil(10.0 * r_max)))
+    count = np.ceil(1.0 / epsilon * per_unit)
     if not count <= MAX_STEPS:
         raise StepLimitError(f"{count:.6g} time steps exceed the limit of "
                              f"MAX_STEPS = {MAX_STEPS}")
     return max(4, int(count))
 
 
-def evolve_lab(path: ControlPath, settings: PropagationSettings,
+def evolve_lab(path: ControlPath, epsilon: float, *,
+               steps_per_unit_time: int = STEPS_PER_UNIT_TIME,
                delta_t: float = 0.0) -> np.ndarray:
     """Lab-frame propagator U(T0), T0 = 1/epsilon, by midpoint exponentials,
     of a drive whose true period is T0 + delta_t.
@@ -188,11 +184,13 @@ def evolve_lab(path: ControlPath, settings: PropagationSettings,
     T0, so the returned operator carries a residual frame rotation on top of
     the geometric gate.
     """
-    t_nominal = 1.0 / settings.epsilon
+    n = _effective_steps(path, epsilon, steps_per_unit_time)
+    t_nominal = 1.0 / epsilon
+    if not np.isfinite(delta_t):
+        raise ValueError(f"delta_t must be finite, got {delta_t!r}")
     if abs(delta_t) >= 0.5 * t_nominal:
         raise ValueError("|delta_t| must be below half the nominal period")
     period = t_nominal + delta_t
-    n = _effective_steps(path, settings, t_nominal)
     dt = t_nominal / n
 
     def steps(t):
@@ -202,7 +200,8 @@ def evolve_lab(path: ControlPath, settings: PropagationSettings,
     return _propagate(steps, n, dt)
 
 
-def evolve_moving(path: ControlPath, settings: PropagationSettings) -> np.ndarray:
+def evolve_moving(path: ControlPath, epsilon: float, *,
+                  steps_per_unit_time: int = STEPS_PER_UNIT_TIME) -> np.ndarray:
     """Moving-frame propagator V(T) solving i dV/dt = (eps A + alpha H0) V.
 
     A = i (dR/dt) R^-1 comes analytically from the frame angular velocity and
@@ -213,16 +212,14 @@ def evolve_moving(path: ControlPath, settings: PropagationSettings) -> np.ndarra
     step unitary and the whole scheme second order; the step
     v -> p (q (p v conj(p)) q) conj(p) is the pair (p q p, p conj(q) p).
     """
-    eps = settings.epsilon
-    t_end = 1.0 / eps
-    n = _effective_steps(path, settings, t_end)
-    dt = t_end / n
+    n = _effective_steps(path, epsilon, steps_per_unit_time)
+    dt = 1.0 / epsilon / n
     x0 = path.x(0.0)
     r0 = float(path.radius(0.0))
 
     def steps(t):
-        s_mid = t * eps
-        rho = -0.5 * eps * dt * tripod.frame_angular_velocity(path, s_mid)
+        s_mid = t * epsilon
+        rho = -0.5 * epsilon * dt * tripod.frame_angular_velocity(path, s_mid)
         angle = np.linalg.norm(rho, axis=1)
         # p as the pair (cos(a/2) + i s rho_x, s rho_y + i s rho_z), with
         # s = sin(a/2)/a written through sinc for small angles.

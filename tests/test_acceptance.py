@@ -37,7 +37,7 @@ def test_criterion_01_analytic_gate_vs_dynamics(capsys):
     ideal = th.gate_from_connection(path)
     assert np.allclose(ideal, -np.eye(2), atol=1e-10)
     gate = th.extract_logical_gate(
-        th.evolve_lab(path, th.PropagationSettings(epsilon=0.0125)), path)
+        th.evolve_lab(path, 0.0125), path)
     distance = float(np.linalg.norm(gate.block - (-np.eye(2))))
     elapsed = time.time() - start
     ok = distance < 0.05 and gate.leakage < 0.01 and elapsed < 10.0
@@ -66,10 +66,9 @@ def test_criterion_03_frame_duality(capsys):
     flat, _ = _fourier_pair()
     families = [th.latitude_loop(np.pi / 3, 1.0), th.lune_path(np.pi / 2, 1e-3), flat]
     worst = 0.0
-    settings = th.PropagationSettings(epsilon=0.05, steps_per_unit_time=2500)
     for path in families:
-        u = th.evolve_lab(path, settings)
-        v = th.evolve_moving(path, settings)
+        u = th.evolve_lab(path, 0.05, steps_per_unit_time=2500)
+        v = th.evolve_moving(path, 0.05, steps_per_unit_time=2500)
         r1 = th.r_rotation(path, 1.0).astype(complex)
         worst = max(worst, float(np.linalg.norm(v - r1 @ u)))
     elapsed = time.time() - start
@@ -248,10 +247,11 @@ def test_criterion_11_r_profile_independence(capsys):
     start = time.time()
     flat, varying = _fourier_pair()
     assert float(varying.radius(1.0)) == pytest.approx(1.5 * float(varying.radius(0.0)))
-    settings = th.PropagationSettings(epsilon=0.025, steps_per_unit_time=40)
     ideal = th.gate_from_connection(flat)
-    gate_flat = th.extract_logical_gate(th.evolve_lab(flat, settings), flat)
-    gate_var = th.extract_logical_gate(th.evolve_lab(varying, settings), varying)
+    gate_flat = th.extract_logical_gate(
+        th.evolve_lab(flat, 0.025, steps_per_unit_time=40), flat)
+    gate_var = th.extract_logical_gate(
+        th.evolve_lab(varying, 0.025, steps_per_unit_time=40), varying)
     d_eps = float(np.linalg.norm(gate_flat.block - ideal))
     d_pair = float(np.linalg.norm(gate_flat.block - gate_var.block))
     elapsed = time.time() - start

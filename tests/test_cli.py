@@ -7,9 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tripodholo import cli, holonomy, noise, paths, quadrature, tripod
-from tripodholo.propagator import (PropagationSettings, evolve_lab, evolve_moving,
-                                   extract_logical_gate)
+from tripodholo import cli, holonomy, noise, paths, propagator, quadrature, tripod
+from tripodholo.propagator import evolve_lab, evolve_moving, extract_logical_gate
 
 MINIMAL_GATE = """\
 [path]
@@ -453,6 +452,24 @@ def test_full_propagation_noise_mc_step_ceiling_is_a_config_error(
     assert "MAX_STEPS" in capsys.readouterr().err
 
 
+def test_exact_bridge_noise_grid_past_the_ceiling_is_a_config_error(
+        tmp_path, capsys, monkeypatch):
+    # The direct first-order sampler builds the whole exact-bridge noise
+    # grid: 200 000 intervals at tau = 1e-3 and epsilon 0.05, here above a
+    # lowered ceiling.
+    def no_noise(*args, **kwargs):
+        raise AssertionError("noise was drawn")
+
+    monkeypatch.setattr(propagator, "MAX_STEPS", 4096)
+    monkeypatch.setattr(noise, "sample_realization", no_noise)
+    cfg = tmp_path / "cfg.ini"
+    text = MINIMAL_GATE.replace("subcommand = gate", "subcommand = noise-mc")
+    cfg.write_text(text + "mode = first_order\nn = 100\n\n[noise]\nsigma = 0.01\n"
+                   "tau = 0.001\npinning = exact-bridge\n", encoding="utf-8")
+    assert cli.main(["noise-mc", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "200000 noise grid intervals exceed" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("subcommand, old, new, key", [
     ("gate", "epsilon = 0.05", "epsilon = inf", "epsilon"),
     ("gate", "epsilon = 0.05", "epsilon = nan", "epsilon"),
@@ -546,7 +563,6 @@ def test_too_few_realizations_left_exits_3_without_a_traceback(tmp_path, capsys,
 
 def test_evolve_dispatches_on_frame(tmp_path, capsys):
     path = cli.build_path(cli.parse_config(MINIMAL_GATE))
-    settings = PropagationSettings(epsilon=0.05)
     for frame, route in (("lab", evolve_lab), ("moving", evolve_moving)):
         cfg = tmp_path / f"{frame}.ini"
         cfg.write_text(MINIMAL_GATE.replace("epsilon = 0.05",
@@ -555,7 +571,7 @@ def test_evolve_dispatches_on_frame(tmp_path, capsys):
         out = tmp_path / frame
         assert cli.main(["gate", "--config", str(cfg), "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
-        block = extract_logical_gate(route(path, settings), path).block
+        block = extract_logical_gate(route(path, 0.05), path).block
         assert summary["results"]["extracted_block"] == cli._complex_matrix(block)
     cfg = tmp_path / "rotating.ini"
     cfg.write_text(MINIMAL_GATE.replace("epsilon = 0.05", "epsilon = 0.05\nframe = rotating"),

@@ -17,7 +17,7 @@ from tripodholo import (
     timing_study,
 )
 from tripodholo.experiments import _IntervalEngine, _mc_grid, threads_from_env
-from tripodholo import experiments, holonomy, noise as noise_mod, paths
+from tripodholo import experiments, holonomy, noise as noise_mod, paths, propagator
 from oracles import spherical_splines
 
 EQUATOR = latitude_loop(np.pi / 2, 1.0)
@@ -57,24 +57,26 @@ def test_mc_zero_noise_gives_zero_delta():
     # the equator's intrinsic leakage already exceeds the 10% exclusion flag.
     spec = NoiseSpec.uniform(0.0, 1.0, seed=1)
     for mode in ("first_order", "full_propagation"):
-        res = mc_delta(EQUATOR, spec, 0.02, 8, mode, workers=1)
+        res = mc_delta(EQUATOR, spec, 0.02, 8, mode)
         assert res.delta_std == pytest.approx(0.0, abs=1e-12)
         assert res.n_excluded == 0
 
 
 def test_mc_first_order_matches_analytic():
     spec = NoiseSpec.uniform(0.05, 0.01, seed=123)
-    res = mc_delta(EQUATOR, spec, 0.01, 2000, "first_order", workers=2)
+    res = mc_delta(EQUATOR, spec, 0.01, 2000, "first_order")
     assert res.analytic_delta == pytest.approx(
         np.sqrt(0.01 * 0.05 ** 2 * 4 * np.pi ** 2 / 100.0), rel=1e-8)
     assert abs(res.delta_std - res.analytic_delta) < 3.0 * res.std_error
     assert abs(res.delta_mean) < 3.0 * res.std_error
 
 
-def test_mc_deterministic_across_workers():
+def test_mc_deterministic_across_workers(monkeypatch):
     spec = NoiseSpec.uniform(0.03, 0.2, seed=77)
-    a = mc_delta(EQUATOR, spec, 0.05, 64, "first_order", workers=1)
-    b = mc_delta(EQUATOR, spec, 0.05, 64, "first_order", workers=4)
+    monkeypatch.setenv("THREADS", "1")
+    a = mc_delta(EQUATOR, spec, 0.05, 64, "first_order")
+    monkeypatch.setenv("THREADS", "4")
+    b = mc_delta(EQUATOR, spec, 0.05, 64, "first_order")
     assert a.delta_std == b.delta_std
     assert a.delta_mean == b.delta_mean
     assert np.array_equal(a.deltas, b.deltas)
@@ -86,7 +88,7 @@ def test_mc_direct_route_equals_public_formula():
 
     spec = NoiseSpec.uniform(0.04, 0.5, seed=9)
     eps = 0.05
-    res = mc_delta(EQUATOR, spec, eps, 16, "first_order", workers=1)
+    res = mc_delta(EQUATOR, spec, eps, 16, "first_order")
     grid = _mc_grid(EQUATOR, spec, 1.0 / eps)
     assert grid.size <= 6001
     for idx in (0, 5, 11):
@@ -135,20 +137,18 @@ def test_gap_frequency_perturbation_escapes_first_order_theory():
     class R:
         pass
 
-    from tripodholo import (PropagationSettings, canonical_angle,
-                            delta_omega_first_order, evolve_lab,
+    from tripodholo import (canonical_angle, delta_omega_first_order, evolve_lab,
                             extract_logical_gate, perturb)
 
-    settings = PropagationSettings(epsilon=eps, steps_per_unit_time=400)
     responses = {}
     for freq in (1.0, 0.05):
         dx = np.zeros((grid.size, 3))
         dx[:, 2] = amplitude * np.sin(freq * grid) * np.sin(np.pi * s) ** 2
         first = delta_omega_first_order(EQUATOR, dx, s)
         real = R()
-        real.grid, real.dx, real.index = grid, dx, 0
-        gate = extract_logical_gate(evolve_lab(perturb(EQUATOR, real), settings),
-                                    EQUATOR)
+        real.grid, real.dx = grid, dx
+        gate = extract_logical_gate(
+            evolve_lab(perturb(EQUATOR, real), eps, steps_per_unit_time=400), EQUATOR)
         responses[freq] = (first, canonical_angle(gate.angle_estimate))
     first_fast, full_fast = responses[1.0]
     first_slow, full_slow = responses[0.05]
@@ -159,8 +159,7 @@ def test_gap_frequency_perturbation_escapes_first_order_theory():
 def test_perturbed_realization_keeps_its_bits():
     # One mc_full realization, propagated on paths.perturb's vector spline
     # and on three scalar splines built here, gives the same gate to the bit.
-    from tripodholo import (ControlPath, Profile, PropagationSettings, evolve_lab,
-                            extract_logical_gate, perturb)
+    from tripodholo import ControlPath, Profile, evolve_lab, extract_logical_gate, perturb
 
     eps = 0.02
     spec = NoiseSpec.uniform(0.01, 0.05, seed=1234)
@@ -173,8 +172,7 @@ def test_perturbed_realization_keeps_its_bits():
         phi=Profile(fn=phi, dfn=phi.derivative()),
         radius=Profile(fn=radius, dfn=radius.derivative()),
     )
-    settings = PropagationSettings(epsilon=eps, steps_per_unit_time=200)
-    gates = [extract_logical_gate(evolve_lab(p, settings), EQUATOR)
+    gates = [extract_logical_gate(evolve_lab(p, eps, steps_per_unit_time=200), EQUATOR)
              for p in (perturb(EQUATOR, real), reference)]
     assert gates[0].angle_estimate == gates[1].angle_estimate
     assert gates[0].leakage == gates[1].leakage
@@ -185,8 +183,8 @@ def test_mode_agreement_in_validity_regime():
     # Noise slow on the microscopic scale (tau >> 1/gap): the first-order
     # geometric statistics reproduce full propagation within 10%.
     spec = NoiseSpec.uniform(0.01, 5.0, seed=99)
-    full = mc_delta(EQUATOR, spec, 0.02, 300, "full_propagation", workers=2)
-    first = mc_delta(EQUATOR, spec, 0.02, 300, "first_order", workers=2)
+    full = mc_delta(EQUATOR, spec, 0.02, 300, "full_propagation")
+    first = mc_delta(EQUATOR, spec, 0.02, 300, "first_order")
     assert full.n_excluded == 0
     assert abs(full.delta_std / first.delta_std - 1.0) < 0.10
 
@@ -196,7 +194,7 @@ def test_anisotropy_arbitration_on_equator():
     # first-order error, unlike the summed-velocity reading which gives
     # tau sigma^2 * 2 pi^2 / T. Monte Carlo sides with the kernel.
     spec = NoiseSpec(sigma=(0.05, 0.0, 0.0), tau=(0.2, 0.2, 0.2), seed=3)
-    res = mc_delta(EQUATOR, spec, 0.05, 200, "first_order", workers=1)
+    res = mc_delta(EQUATOR, spec, 0.05, 200, "first_order")
     wrong_reading = np.sqrt(0.2 * 0.05 ** 2 * 2 * np.pi ** 2 / 20.0)
     assert res.delta_std < 1e-12
     assert wrong_reading > 1e-3
@@ -206,7 +204,7 @@ def test_anisotropy_arbitration_on_equator():
 def test_scaling_study_p1_q1():
     grid = np.geomspace(1e-2, 1e-1, 5)
     res = scaling_study(EQUATOR, 1.0, 1.0, 1.0, 1.0, grid, n=400,
-                        mode="first_order", base_seed=2, workers=2)
+                        mode="first_order", base_seed=2)
     assert res.predicted_exponent == pytest.approx(2.0)
     assert res.fit.exponent == pytest.approx(2.0, abs=0.2)
 
@@ -260,14 +258,40 @@ def test_mc_validation():
         mc_delta(EQUATOR, spec, 0.05, 0, "first_order")
 
 
+def test_fewer_than_two_realizations_are_rejected_by_name():
+    # One realization has no spread; it used to pass the n >= 1 check and
+    # then report "0 of 1 excluded", although nothing was excluded.
+    spec = NoiseSpec.uniform(0.01, 0.1, seed=0)
+    for n in (1, 0):
+        for mode in experiments.MC_MODES:
+            with pytest.raises(ValueError, match=rf"n must be at least 2 .*, got {n}$") as info:
+                mc_delta(EQUATOR, spec, 0.05, n, mode)
+            assert not isinstance(info.value, experiments.ExcludedRealizationsError)
+
+
+def test_direct_sampler_grid_past_the_ceiling_is_rejected_before_allocation(monkeypatch):
+    # Exact-bridge noise always takes the direct sampler, which builds the
+    # whole noise grid: tau = 1e-3 at epsilon 0.05 asks for 200 000
+    # intervals, here above a lowered ceiling.
+    def nothing(*args, **kwargs):
+        raise AssertionError("noise was drawn")
+
+    monkeypatch.setattr(propagator, "MAX_STEPS", 4096)
+    monkeypatch.setattr(noise_mod, "sample_realization", nothing)
+    spec = NoiseSpec.uniform(0.01, 1e-3, pinning="exact-bridge", seed=0)
+    with pytest.raises(propagator.StepLimitError,
+                       match="200000 noise grid intervals exceed the limit of "
+                             "MAX_STEPS = 4096"):
+        mc_delta(EQUATOR, spec, 0.05, 4, "first_order")
+
+
 def test_mc_full_mode_reports_leakage_fields():
     spec = NoiseSpec.uniform(0.01, 0.5, seed=31)
-    res = mc_delta(EQUATOR, spec, 0.02, 16, "full_propagation", workers=1)
+    res = mc_delta(EQUATOR, spec, 0.02, 16, "full_propagation")
     assert res.leakages.shape == (16,)
     assert np.all(res.leakages >= 0.0)
     assert np.all(res.leakages > 0.0)
     assert res.n_excluded == 0
-    assert res.mode == "full_propagation"
 
 
 def test_mc_excludes_non_adiabatic_realizations():
@@ -275,7 +299,7 @@ def test_mc_excludes_non_adiabatic_realizations():
     # whole ensemble is excluded and statistics are refused.
     spec = NoiseSpec.uniform(0.001, 0.5, seed=31)
     with pytest.raises(ValueError, match="excluded"):
-        mc_delta(EQUATOR, spec, 0.05, 4, "full_propagation", workers=1)
+        mc_delta(EQUATOR, spec, 0.05, 4, "full_propagation")
 
 
 def test_too_few_realizations_left_is_a_named_error():
@@ -283,7 +307,7 @@ def test_too_few_realizations_left_is_a_named_error():
     # so every realization is excluded.
     spec = NoiseSpec.uniform(0.01, 0.5, seed=0)
     with pytest.raises(experiments.ExcludedRealizationsError, match="5 of 5 excluded"):
-        mc_delta(latitude_loop(1.0), spec, 0.1, 5, "full_propagation", workers=1)
+        mc_delta(latitude_loop(1.0), spec, 0.1, 5, "full_propagation")
     assert issubclass(experiments.ExcludedRealizationsError, ValueError)
 
 
@@ -294,7 +318,7 @@ def test_analytic_delta_nan_for_varying_radius():
         Harmonics(offset=1.0, slope=0.3),
     )
     spec = NoiseSpec.uniform(0.01, 0.5, seed=8)
-    res = mc_delta(varying, spec, 0.05, 32, "first_order", workers=1)
+    res = mc_delta(varying, spec, 0.05, 32, "first_order")
     assert np.isnan(res.analytic_delta)
     assert res.delta_std > 0.0
 
@@ -314,16 +338,6 @@ def test_threads_env_parsing(monkeypatch):
             mc_delta(EQUATOR, spec, 0.05, 4, "first_order")
 
 
-def test_workers_below_one_are_rejected():
-    spec = NoiseSpec.uniform(0.01, 0.1, seed=0)
-    for workers in (0, -2):
-        with pytest.raises(ValueError, match="workers must be >= 1"):
-            mc_delta(EQUATOR, spec, 0.05, 4, "first_order", workers=workers)
-    with pytest.raises(ValueError, match="workers must be >= 1"):
-        scaling_study(EQUATOR, 1.0, 1.0, 1.0, 1.0, np.geomspace(1e-2, 1e-1, 4),
-                      n=4, mode="first_order", workers=0)
-
-
 def test_full_propagation_step_ceiling_trips_before_any_noise(monkeypatch):
     def no_noise(*args, **kwargs):
         raise AssertionError("noise was drawn")
@@ -331,7 +345,7 @@ def test_full_propagation_step_ceiling_trips_before_any_noise(monkeypatch):
     monkeypatch.setattr(noise_mod, "sample_realization", no_noise)
     spec = NoiseSpec.uniform(0.01, 0.1, seed=0)
     with pytest.raises(ValueError, match="MAX_STEPS"):
-        mc_delta(EQUATOR, spec, 1e-9, 4, "full_propagation", workers=1)
+        mc_delta(EQUATOR, spec, 1e-9, 4, "full_propagation")
 
 
 def test_full_propagation_rejects_unpinned_noise_before_any_grid(monkeypatch):
@@ -342,7 +356,7 @@ def test_full_propagation_rejects_unpinned_noise_before_any_grid(monkeypatch):
     monkeypatch.setattr(noise_mod, "sample_realization", nothing)
     spec = NoiseSpec.uniform(0.01, 0.5, pinning="none", seed=0)
     with pytest.raises(ValueError, match="pinned noise"):
-        mc_delta(EQUATOR, spec, 0.02, 4, "full_propagation", workers=1)
+        mc_delta(EQUATOR, spec, 0.02, 4, "full_propagation")
 
 
 def test_full_propagation_excludes_realizations_near_the_origin():
@@ -363,7 +377,7 @@ def test_full_propagation_excludes_realizations_near_the_origin():
             assert "origin" in str(exc)
             near_origin.append(True)
     assert 0 < sum(near_origin) < n
-    res = mc_delta(loop, spec, eps, n, "full_propagation", workers=1)
+    res = mc_delta(loop, spec, eps, n, "full_propagation")
     assert np.array_equal(np.isnan(res.deltas), near_origin)
     assert np.array_equal(np.isnan(res.leakages), near_origin)
     assert res.n_excluded >= sum(near_origin)
@@ -375,7 +389,7 @@ def test_first_order_interval_engine_builds_no_dense_grid():
     spec = NoiseSpec.uniform(0.01, 0.1, seed=3)
     tracemalloc.start()
     try:
-        mc_delta(EQUATOR, spec, 1e-4, 4, "first_order", workers=1)
+        mc_delta(EQUATOR, spec, 1e-4, 4, "first_order")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -212,7 +212,7 @@ def test_delta_omega_defect_quadratic():
             pass
 
         real = R()
-        real.grid, real.dx, real.index = grid, dx, 0
+        real.grid, real.dx = grid, dx
         exact = solid_angle(perturb(path, real)).omega_cos - omega0
         defects.append(abs(lin - exact))
     slope = fit_power_law(sizes, defects).exponent

@@ -25,8 +25,9 @@ def stationary_slice(spec: NoiseSpec, grid) -> slice:
     return slice(k, t.size - k)
 
 
-def empirical_autocovariance(realizations, axis: int, lags):
-    """Ensemble lag-covariance estimates with standard errors.
+def empirical_autocovariance(realizations, spec, axis: int, lags):
+    """Ensemble lag-covariance estimates, with standard errors, of
+    realizations drawn from spec.
 
     axis is 1-based (matching the drive components). Each realization
     contributes an unbiased zero-mean estimate over its stationary interior;
@@ -36,7 +37,7 @@ def empirical_autocovariance(realizations, axis: int, lags):
     first = realizations[0]
     t = first.grid
     dt = t[1] - t[0]
-    interior = stationary_slice(first.spec, t)
+    interior = stationary_slice(spec, t)
     lag_steps = [int(round(float(lag) / dt)) for lag in np.atleast_1d(lags)]
     assert max(lag_steps) < interior.stop - interior.start
     per_real = np.empty((len(realizations), len(lag_steps)))
@@ -124,9 +125,9 @@ def test_pinned_ends_exact(ensemble):
 
 
 def test_autocovariance_decay(ensemble):
-    _, _, reals = ensemble
+    spec, _, reals = ensemble
     lags = [0.0, TAU / 2, TAU, 2 * TAU]
-    est, se = empirical_autocovariance(reals, 1, lags)
+    est, se = empirical_autocovariance(reals, spec, 1, lags)
     expected = SIGMA ** 2 * np.exp(-2.0 * np.asarray(lags) / TAU)
     for e, s, x in zip(est, se, expected):
         assert abs(e - x) < 3.0 * s
@@ -136,17 +137,17 @@ def test_autocovariance_decay(ensemble):
 
 
 def test_autocovariance_far_lag_negligible(ensemble):
-    _, _, reals = ensemble
-    est, se = empirical_autocovariance(reals, 1, [5.0 * TAU])
+    spec, _, reals = ensemble
+    est, se = empirical_autocovariance(reals, spec, 1, [5.0 * TAU])
     assert abs(est[0]) < 4.0 * se[0]
     assert abs(est[0]) < 0.01 * SIGMA ** 2
 
 
 def test_integrated_covariance_matches_white_intensity(ensemble):
-    _, grid, reals = ensemble
+    spec, grid, reals = ensemble
     dt = grid[1] - grid[0]
     lags = np.arange(0, int(4 * TAU / dt)) * dt
-    est, _ = empirical_autocovariance(reals, 1, lags)
+    est, _ = empirical_autocovariance(reals, spec, 1, lags)
     integral = (est[0] + 2.0 * np.sum(est[1:])) * dt
     assert integral == pytest.approx(TAU * SIGMA ** 2, rel=0.10)
 

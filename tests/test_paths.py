@@ -17,10 +17,9 @@ from oracles import spherical_splines
 
 
 class FakeRealization:
-    def __init__(self, grid, dx, index=0):
+    def __init__(self, grid, dx):
         self.grid = np.asarray(grid, dtype=float)
         self.dx = np.asarray(dx, dtype=float)
-        self.index = index
 
 
 def test_latitude_loop_examples():

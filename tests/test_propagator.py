@@ -6,7 +6,6 @@ import pytest
 from tripodholo import (
     ControlPath,
     Harmonics,
-    PropagationSettings,
     canonical_angle,
     evolve_lab,
     evolve_moving,
@@ -50,28 +49,29 @@ GENERIC_FOURIER = fourier_path(
 
 
 def test_settings_validation():
-    with pytest.raises(ValueError):
-        PropagationSettings(epsilon=0.0)
-    for epsilon in (np.inf, np.nan):
-        with pytest.raises(ValueError, match="finite"):
-            PropagationSettings(epsilon=epsilon)
-    with pytest.raises(ValueError):
-        PropagationSettings(epsilon=0.1, steps_per_unit_time=0)
+    path = constant_path()
+    for propagate in (evolve_lab, evolve_moving):
+        with pytest.raises(ValueError):
+            propagate(path, 0.0)
+        for epsilon in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                propagate(path, epsilon)
+        with pytest.raises(ValueError):
+            propagate(path, 0.1, steps_per_unit_time=0)
 
 
 def test_constant_path_matches_single_step():
     path = constant_path()
-    settings = PropagationSettings(epsilon=0.1)
-    u = evolve_lab(path, settings)
+    u = evolve_lab(path, 0.1)
     expected = step_matrix(path.x(0.0), 10.0)
     assert np.linalg.norm(u - expected) < 1e-12
-    v = evolve_moving(path, settings)
+    v = evolve_moving(path, 0.1)
     assert np.linalg.norm(v - expected) < 1e-12
 
 
 def test_unitarity_after_propagation():
     for path in (latitude_loop(np.pi / 3), lune_path(np.pi / 2, 1e-3), GENERIC_FOURIER):
-        u = evolve_lab(path, PropagationSettings(epsilon=0.05))
+        u = evolve_lab(path, 0.05)
         assert np.linalg.norm(u.conj().T @ u - np.eye(4)) < 1e-9
 
 
@@ -79,7 +79,7 @@ def test_step_halving_second_order():
     path = latitude_loop(1.0, 1.0)
     blocks = []
     for spu in (20, 40, 80):
-        u = evolve_lab(path, PropagationSettings(epsilon=0.05, steps_per_unit_time=spu))
+        u = evolve_lab(path, 0.05, steps_per_unit_time=spu)
         blocks.append(extract_logical_gate(u, path).block)
     d1 = np.linalg.norm(blocks[0] - blocks[1])
     d2 = np.linalg.norm(blocks[1] - blocks[2])
@@ -88,9 +88,8 @@ def test_step_halving_second_order():
 
 def test_frame_duality_three_families():
     for path in (latitude_loop(np.pi / 3), lune_path(np.pi / 2, 1e-3), GENERIC_FOURIER):
-        settings = PropagationSettings(epsilon=0.05, steps_per_unit_time=2500)
-        u = evolve_lab(path, settings)
-        v = evolve_moving(path, settings)
+        u = evolve_lab(path, 0.05, steps_per_unit_time=2500)
+        v = evolve_moving(path, 0.05, steps_per_unit_time=2500)
         r1 = r_rotation(path, 1.0).astype(complex)
         assert np.linalg.norm(v - r1 @ u) < 1e-6
 
@@ -138,7 +137,7 @@ def test_extracted_angle_converges_to_solid_angle_with_sign():
     assert omega == pytest.approx(2 * np.pi * np.cos(1.0) - 2 * np.pi)
     errors = []
     for eps in (0.05, 0.025, 0.0125):
-        u = evolve_lab(path, PropagationSettings(epsilon=eps, steps_per_unit_time=40))
+        u = evolve_lab(path, eps, steps_per_unit_time=40)
         gate = extract_logical_gate(u, path)
         errors.append(abs(canonical_angle(gate.angle_estimate - omega)))
     assert errors[0] > errors[1] > errors[2]
@@ -149,54 +148,59 @@ def test_extracted_angle_converges_to_solid_angle_with_sign():
 
 def test_moving_frame_same_extracted_gate():
     path = latitude_loop(np.pi / 3, 1.0)
-    settings = PropagationSettings(epsilon=0.02, steps_per_unit_time=100)
-    gu = extract_logical_gate(evolve_lab(path, settings), path)
-    gv = extract_logical_gate(evolve_moving(path, settings), path)
+    gu = extract_logical_gate(evolve_lab(path, 0.02, steps_per_unit_time=100), path)
+    gv = extract_logical_gate(evolve_moving(path, 0.02, steps_per_unit_time=100), path)
     assert np.linalg.norm(gu.block - gv.block) < 1e-6
 
 
 def test_r_profile_independence_of_extracted_angle():
     eps = 0.025
-    settings = PropagationSettings(epsilon=eps, steps_per_unit_time=40)
     varying = GENERIC_FOURIER
     flat = fourier_path(
         Harmonics(offset=1.2, sin=(0.25,), cos=(0.0, 0.1)),
         Harmonics(offset=0.0, slope=2 * np.pi, sin=(0.2,)),
         Harmonics(offset=1.0),
     )
-    ga = extract_logical_gate(evolve_lab(flat, settings), flat)
-    gb = extract_logical_gate(evolve_lab(varying, settings), varying)
+    ga = extract_logical_gate(evolve_lab(flat, eps, steps_per_unit_time=40), flat)
+    gb = extract_logical_gate(evolve_lab(varying, eps, steps_per_unit_time=40), varying)
     assert abs(canonical_angle(ga.angle_estimate - gb.angle_estimate)) < 5 * eps
 
 
 def test_evolve_to_nominal_zero_mismatch_is_exact():
     path = latitude_loop(np.pi / 3, 1.0)
-    settings = PropagationSettings(epsilon=0.01)
-    assert np.array_equal(evolve_lab(path, settings, 0.0),
-                          evolve_lab(path, settings))
+    assert np.array_equal(evolve_lab(path, 0.01, delta_t=0.0),
+                          evolve_lab(path, 0.01))
     with pytest.raises(ValueError):
-        evolve_lab(path, settings, 60.0)
+        evolve_lab(path, 0.01, delta_t=60.0)
+
+
+def test_non_finite_mismatch_is_rejected_by_name():
+    # NaN passes the |delta_t| < T0/2 comparison, and used to surface as a
+    # non-finite drive at the first step.
+    path = latitude_loop(np.pi / 3, 1.0)
+    for delta_t in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="delta_t must be finite"):
+            evolve_lab(path, 0.05, delta_t=delta_t)
 
 
 def test_blocking_does_not_change_a_bit(monkeypatch):
     # 10 500 steps: two blocks of the default size, or 164 blocks of 64 and
     # a partial block of 4.
-    settings = PropagationSettings(epsilon=0.002, steps_per_unit_time=21)
-    assert _effective_steps(GENERIC_FOURIER, settings, 1.0 / settings.epsilon) % 64 == 4
-    routes = (evolve_lab, evolve_moving, lambda p, s: evolve_lab(p, s, 0.5))
-    default = [route(GENERIC_FOURIER, settings) for route in routes]
+    assert _effective_steps(GENERIC_FOURIER, 0.002, 21) % 64 == 4
+    routes = (evolve_lab, evolve_moving, lambda p, e, **kw: evolve_lab(p, e, delta_t=0.5, **kw))
+    default = [route(GENERIC_FOURIER, 0.002, steps_per_unit_time=21) for route in routes]
     monkeypatch.setattr(propagator, "BLOCK", 64)
     for route, expected in zip(routes, default):
-        assert np.array_equal(route(GENERIC_FOURIER, settings), expected)
+        assert np.array_equal(route(GENERIC_FOURIER, 0.002, steps_per_unit_time=21),
+                              expected)
 
 
 def test_propagation_memory_does_not_grow_with_the_step_count():
     def traced_peak(route, steps):
         # GENERIC_FOURIER takes 20 steps per unit time.
-        settings = PropagationSettings(epsilon=20.0 / steps)
         tracemalloc.start()
         try:
-            route(GENERIC_FOURIER, settings)
+            route(GENERIC_FOURIER, 20.0 / steps)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -222,11 +226,10 @@ def test_non_finite_drive_is_rejected_at_its_first_step(monkeypatch, block):
         radius=Profile(lambda s: np.where((s > 0.301) & (s < 0.3015), np.nan, 1.0),
                        lambda s: np.where((s > 0.301) & (s < 0.3015), np.nan, 0.0)),
     )
-    settings = PropagationSettings(epsilon=0.05)
     for propagate, t_bad in ((evolve_lab, r"6\.025"), (evolve_moving, r"6\.025"),
-                             (lambda p, s: evolve_lab(p, s, 0.5), r"6\.175")):
+                             (lambda p, e: evolve_lab(p, e, delta_t=0.5), r"6\.175")):
         with pytest.raises(ValueError, match=f"not finite at step time t = {t_bad} "):
-            propagate(path, settings)
+            propagate(path, 0.05)
 
 
 def test_extract_rejects_non_finite_propagator():
@@ -265,17 +268,18 @@ def test_step_count_above_the_ceiling_is_rejected_before_allocation():
     path = latitude_loop(np.pi / 3)
     # 1e9 time units at 20 steps each; the ceiling must trip before the
     # 2e10 steps are built.
-    huge = PropagationSettings(epsilon=1e-9)
     with pytest.raises(ValueError,
                        match=r"2e\+10 time steps exceed the limit of MAX_STEPS = 8388608"):
-        _effective_steps(path, huge, 1e9)
-    for propagate in (evolve_lab, evolve_moving, lambda p, s: evolve_lab(p, s, 1.0)):
+        _effective_steps(path, 1e-9, 20)
+    for propagate in (evolve_lab, evolve_moving,
+                      lambda p, e: evolve_lab(p, e, delta_t=1.0)):
         with pytest.raises(ValueError, match="MAX_STEPS"):
-            propagate(path, huge)
+            propagate(path, 1e-9)
     # 1 / 1e-320 is infinite in floats: the same named error, not OverflowError.
     with pytest.raises(ValueError, match="inf time steps exceed"):
-        evolve_lab(path, PropagationSettings(epsilon=1e-320))
-    assert _effective_steps(path, PropagationSettings(epsilon=1.0), MAX_STEPS / 20) == MAX_STEPS
+        evolve_lab(path, 1e-320)
+    # 2**19 time units at 16 steps each is exactly the ceiling.
+    assert _effective_steps(path, 2.0 ** -19, 16) == MAX_STEPS
 
 
 def test_complex_pair_product_matches_real_hamilton_product():

@@ -17,10 +17,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.transform import Rotation
 
-from tripodholo import (ControlPath, Harmonics, Profile, PropagationSettings, arc_length,
-                        evolve_lab, evolve_moving, extract_logical_gate, fourier_path,
-                        solid_angle, tripod)
-from tripodholo.propagator import _effective_steps
+from tripodholo import (ControlPath, Harmonics, Profile, arc_length, evolve_lab,
+                        evolve_moving, extract_logical_gate, fourier_path, solid_angle,
+                        tripod)
+from tripodholo.propagator import STEPS_PER_UNIT_TIME, _effective_steps
 
 from oracles import step_matrices
 
@@ -66,9 +66,9 @@ forward_angles = angles(0.16)
 epsilons = st.floats(0.02, 0.1)
 
 
-def _step_times(path, s):
-    t_end = 1.0 / s.epsilon
-    n = _effective_steps(path, s, t_end)
+def _step_times(path, eps):
+    t_end = 1.0 / eps
+    n = _effective_steps(path, eps, STEPS_PER_UNIT_TIME)
     dt = t_end / n
     return (np.arange(n) + 0.5) * dt, dt
 
@@ -80,15 +80,15 @@ def _fold(steps):
     return u
 
 
-def lab_reference(path, s):
-    t_mid, dt = _step_times(path, s)
-    return _fold(step_matrices(path.x(t_mid * s.epsilon), dt))
+def lab_reference(path, eps):
+    t_mid, dt = _step_times(path, eps)
+    return _fold(step_matrices(path.x(t_mid * eps), dt))
 
 
-def moving_reference(path, s):
-    t_mid, dt = _step_times(path, s)
-    s_mid = t_mid * s.epsilon
-    rotvecs = -0.5 * s.epsilon * dt * tripod.frame_angular_velocity(path, s_mid)
+def moving_reference(path, eps):
+    t_mid, dt = _step_times(path, eps)
+    s_mid = t_mid * eps
+    rotvecs = -0.5 * eps * dt * tripod.frame_angular_velocity(path, s_mid)
     half = np.zeros((t_mid.size, 4, 4))
     half[:, 0, 0] = 1.0
     half[:, 1:, 1:] = Rotation.from_rotvec(rotvecs).as_matrix()
@@ -100,29 +100,28 @@ def moving_reference(path, s):
 @PROPERTY_SETTINGS
 @given(loops(), epsilons)
 def test_lab_core_matches_folded_complex_steps(path, eps):
-    u = evolve_lab(path, PropagationSettings(epsilon=eps))
-    assert np.max(np.abs(u - lab_reference(path, PropagationSettings(epsilon=eps)))) < 1e-11
+    u = evolve_lab(path, eps)
+    assert np.max(np.abs(u - lab_reference(path, eps))) < 1e-11
 
 
 @PROPERTY_SETTINGS
 @given(loops(), epsilons)
 def test_moving_core_matches_folded_split_steps(path, eps):
-    v = evolve_moving(path, PropagationSettings(epsilon=eps))
-    assert np.max(np.abs(v - moving_reference(path, PropagationSettings(epsilon=eps)))) < 1e-11
+    v = evolve_moving(path, eps)
+    assert np.max(np.abs(v - moving_reference(path, eps))) < 1e-11
 
 
 @PROPERTY_SETTINGS
 @given(loops(), epsilons, st.sampled_from((evolve_lab, evolve_moving)))
 def test_propagators_are_unitary(path, eps, evolve):
-    u = evolve(path, PropagationSettings(epsilon=eps))
+    u = evolve(path, eps)
     assert np.linalg.norm(u.conj().T @ u - np.eye(4)) < 1e-12
 
 
 @PROPERTY_SETTINGS
 @given(loops(), epsilons, st.sampled_from((evolve_lab, evolve_moving)))
 def test_propagators_are_deterministic(path, eps, evolve):
-    s = PropagationSettings(epsilon=eps)
-    assert np.array_equal(evolve(path, s), evolve(path, s))
+    assert np.array_equal(evolve(path, eps), evolve(path, eps))
 
 
 @PROPERTY_SETTINGS
@@ -131,8 +130,8 @@ def test_frame_duality_converges_at_second_order(path, eps):
     r1 = tripod.r_rotation(path, 1.0)
 
     def defect(spu):
-        s = PropagationSettings(epsilon=eps, steps_per_unit_time=spu)
-        u, v = evolve_lab(path, s), evolve_moving(path, s)
+        u = evolve_lab(path, eps, steps_per_unit_time=spu)
+        v = evolve_moving(path, eps, steps_per_unit_time=spu)
         return float(np.linalg.norm(v - r1 @ u))
 
     coarse, fine = defect(100), defect(200)
@@ -187,9 +186,8 @@ def test_propagated_gate_survives_reparametrization_to_first_order(path, sign, s
     # The gate is geometric, so the two traversals differ only by their
     # O(epsilon) adiabatic corrections. |a| >= 0.1 keeps the two apart.
     a = sign * size
-    s = PropagationSettings(epsilon=eps)
     moved = _reparametrized(path, a)
-    blocks = [extract_logical_gate(evolve_lab(p, s), p).block for p in (path, moved)]
+    blocks = [extract_logical_gate(evolve_lab(p, eps), p).block for p in (path, moved)]
     assert np.linalg.norm(blocks[0] - blocks[1]) <= 5.0 * eps
 
 
