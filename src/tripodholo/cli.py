@@ -29,7 +29,7 @@ SCHEMA_VERSION = 1
 
 _DEFAULT_CONVERGENCE_GRID = (0.2, 0.1, 0.05, 0.025, 0.0125)
 _DEFAULT_T0_GRID = (100.0, 200.0, 400.0, 800.0)
-#: Default pass tolerances per subcommand (see emit_report).
+#: Default pass tolerances of the fitted studies' checks.
 _DEFAULT_TOLERANCE = {"scaling": 0.15, "timing": 0.2, "convergence": 0.8}
 
 
@@ -39,33 +39,35 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A fully validated run; parse_config fills every field."""
+
     subcommand: str
     family: str
-    theta0: float | None = None
-    r0: float = 1.0
-    dphi: float | None = None
-    delta: float = 1e-3
-    f_theta: paths.Harmonics | None = None
-    f_phi: paths.Harmonics | None = None
-    f_r: paths.Harmonics | None = None
-    epsilon: float = 0.05
-    steps_per_unit_time: int = propagator.STEPS_PER_UNIT_TIME
-    frame: str = "lab"
-    sigma: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    tau: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    pinning: str = "endpoint-ramp"
-    n: int = 1000
-    mode: str = "first_order"
-    p: float = 0.5
-    q: float = 0.5
-    tau0: float = 1.0
-    sigma0: float = 1.0
-    epsilon_grid: tuple[float, ...] | None = None
-    delta_t: float = 1.0
-    t0_grid: tuple[float, ...] = _DEFAULT_T0_GRID
-    tolerance: float | None = None
-    seed: int = 0
-    out_dir: str = "out"
+    theta0: float | None
+    r0: float
+    dphi: float | None
+    delta: float
+    f_theta: paths.Harmonics | None
+    f_phi: paths.Harmonics | None
+    f_r: paths.Harmonics | None
+    epsilon: float
+    steps_per_unit_time: int
+    frame: str
+    sigma: tuple[float, float, float]
+    tau: tuple[float, float, float]
+    pinning: str
+    n: int
+    mode: str
+    p: float
+    q: float
+    tau0: float
+    sigma0: float
+    epsilon_grid: tuple[float, ...]
+    delta_t: float
+    t0_grid: tuple[float, ...]
+    tolerance: float | None
+    seed: int
+    out_dir: str
 
 
 def _parse_ini(text: str) -> dict[str, dict[str, tuple[str, int]]]:
@@ -195,7 +197,9 @@ def parse_config(text: str, subcommand: str | None = None) -> RunConfig:
     family = pathsec.string("family", default=None, choices=("latitude", "lune", "fourier"))
     if family is None:
         raise ConfigError("[path] family is required (latitude | lune | fourier)")
-    theta0 = r0 = dphi = delta = None
+    # The echo of every family carries the latitude's r0 and the lune's delta.
+    theta0 = dphi = None
+    r0, delta = 1.0, 1e-3
     f_theta = f_phi = f_r = None
     if family == "latitude":
         theta0 = pathsec.floating("theta0", default=None, minimum=0.0, exclusive_min=True,
@@ -203,14 +207,14 @@ def parse_config(text: str, subcommand: str | None = None) -> RunConfig:
         if theta0 is None:
             raise ConfigError("[path] theta0 is required for the latitude family "
                               "(strictly between 0 and pi)")
-        r0 = pathsec.floating("r0", default=1.0, minimum=0.0, exclusive_min=True)
+        r0 = pathsec.floating("r0", default=r0, minimum=0.0, exclusive_min=True)
     elif family == "lune":
         dphi = pathsec.floating("dphi", default=None, minimum=0.0, exclusive_min=True,
                                 maximum=float(2.0 * np.pi), exclusive_max=True)
         if dphi is None:
             raise ConfigError("[path] dphi is required for the lune family "
                               "(strictly between 0 and 2 pi)")
-        delta = pathsec.floating("delta", default=1e-3, minimum=0.0, exclusive_min=True)
+        delta = pathsec.floating("delta", default=delta, minimum=0.0, exclusive_min=True)
     else:
         f_theta = paths.Harmonics(
             offset=pathsec.floating("theta_offset", default=None),
@@ -316,9 +320,7 @@ def parse_config(text: str, subcommand: str | None = None) -> RunConfig:
     out.reject_unknown()
 
     return RunConfig(
-        subcommand=sub, family=family, theta0=theta0,
-        r0=r0 if r0 is not None else 1.0, dphi=dphi,
-        delta=delta if delta is not None else 1e-3,
+        subcommand=sub, family=family, theta0=theta0, r0=r0, dphi=dphi, delta=delta,
         f_theta=f_theta, f_phi=f_phi, f_r=f_r,
         epsilon=epsilon, steps_per_unit_time=spu, frame=frame,
         sigma=sigma, tau=tau, pinning=pinning,
@@ -372,18 +374,10 @@ def _format_cell(value) -> str:
     return repr(float(value))
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
+def _write_csv(path: Path, header: list[str], rows, sep: str = ",") -> None:
+    lines = [sep.join(header)]
     for row in rows:
-        lines.append(",".join(map(_format_cell, row)))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _write_plotdata(path: Path, xlabel: str, ylabel: str, xs, ys) -> None:
-    lines = [f"# {xlabel} {ylabel}"]
-    for x, y in zip(xs, ys):
-        lines.append(f"{_format_cell(x)} {_format_cell(y)}")
+        lines.append(sep.join(map(_format_cell, row)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -395,9 +389,10 @@ def _complex_matrix(m: np.ndarray) -> list:
 def run(config: RunConfig) -> int:
     """Execute the configured experiment; returns the exit status.
 
-    A config that needs more than propagator.MAX_STEPS steps in one
-    propagation raises propagator.StepLimitError, which main reports as a
-    config error.
+    Writes the artifacts, then prints the headline lines of the report; the
+    JSON stays the authoritative record. A config that needs more than
+    propagator.MAX_STEPS steps in one propagation raises
+    propagator.StepLimitError, which main reports as a config error.
     """
     try:
         # Parsed up front so that a bad value is a config error before any work.
@@ -407,117 +402,134 @@ def run(config: RunConfig) -> int:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = build_path(config)
+    sub = config.subcommand
     summary: dict = {
         "schema_version": SCHEMA_VERSION,
-        "subcommand": config.subcommand,
+        "subcommand": sub,
         "config": _config_echo(config),
         "results": {},
     }
     results = summary["results"]
     checks: list[tuple[str, bool]] = []
+    report = [f"subcommand: {sub}"]
 
-    if config.subcommand in ("gate", "holonomy"):
-        report = holonomy.solid_angle(path)
-        ideal = holonomy.ideal_gate(report.omega_canonical)
-        results["omega_cos"] = report.omega_cos
-        results["omega_area"] = report.omega_area
-        results["winding"] = report.winding
-        results["omega_canonical"] = report.omega_canonical
-        results["arc_length"] = report.arc_length
+    if sub in ("gate", "holonomy"):
+        angle = holonomy.solid_angle(path)
+        ideal = holonomy.ideal_gate(angle.omega_canonical)
+        results["omega_cos"] = angle.omega_cos
+        results["omega_area"] = angle.omega_area
+        results["winding"] = angle.winding
+        results["omega_canonical"] = angle.omega_canonical
+        results["arc_length"] = angle.arc_length
         results["ideal_gate"] = [[float(v) for v in row] for row in ideal]
+        report.append(f"omega_cos: {angle.omega_cos:.6g}   omega_area: "
+                      f"{angle.omega_area:.6g}   winding: {angle.winding}   "
+                      f"canonical: {angle.omega_canonical:.6g}")
+        report.append(f"ideal gate: [[{ideal[0, 0]:.6g}, {ideal[0, 1]:.6g}], "
+                      f"[{ideal[1, 0]:.6g}, {ideal[1, 1]:.6g}]]")
+        if sub == "gate":
+            # Looked up on the module at call time, so a wrapped propagator runs.
+            evolve = (propagator.evolve_moving if config.frame == "moving"
+                      else propagator.evolve_lab)
+            u = evolve(path, config.epsilon, steps_per_unit_time=config.steps_per_unit_time)
+            gate = propagator.extract_logical_gate(u, path)
+            distance = float(np.linalg.norm(gate.block - ideal))
+            results["extracted_block"] = _complex_matrix(gate.block)
+            results["extracted_angle"] = gate.angle_estimate
+            results["leakage"] = gate.leakage
+            results["adiabaticity_lost"] = gate.adiabaticity_lost
+            results["distance_to_ideal"] = distance
+            report.append(f"extracted angle: {gate.angle_estimate:.6g}   leakage: "
+                          f"{gate.leakage:.3g}   |gate - ideal|_F: {distance:.3g}")
+            checks.append((f"leakage below {propagator.LEAKAGE_LIMIT}",
+                           not gate.adiabaticity_lost))
+            s = np.linspace(0.0, 1.0, 257)
+            x = path.x(s)
+            # Row by row, |x| = sqrt(x . x) bit for bit, as np.linalg.norm(row) is.
+            r = np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+            _write_csv(out / "path_samples.csv",
+                       ["s", "x1", "x2", "x3", "theta", "phi", "r"],
+                       np.column_stack([s, x, path.theta(s), path.phi(s), r]).tolist())
+        else:
+            s = np.linspace(0.0, 1.0, 513)
+            costheta = np.cos(path.theta(s))
+            phidot = path.phi.derivative(s)
+            _write_csv(out / "integrand.csv",
+                       ["s", "costheta", "phidot", "integrand_cos", "integrand_area"],
+                       [(si, c, pd, c * pd, (1.0 - c) * pd)
+                        for si, c, pd in zip(s, costheta, phidot)])
 
-    if config.subcommand == "gate":
-        # Looked up on the module at call time, so a wrapped propagator runs.
-        evolve = (propagator.evolve_moving if config.frame == "moving"
-                  else propagator.evolve_lab)
-        u = evolve(path, config.epsilon, steps_per_unit_time=config.steps_per_unit_time)
-        gate = propagator.extract_logical_gate(u, path)
-        results["extracted_block"] = _complex_matrix(gate.block)
-        results["extracted_angle"] = gate.angle_estimate
-        results["leakage"] = gate.leakage
-        results["adiabaticity_lost"] = gate.adiabaticity_lost
-        results["distance_to_ideal"] = float(np.linalg.norm(gate.block - ideal))
-        checks.append((f"leakage below {propagator.LEAKAGE_LIMIT}",
-                       not gate.adiabaticity_lost))
-        s = np.linspace(0.0, 1.0, 257)
-        x = path.x(s)
-        # Row by row, |x| = sqrt(x . x) bit for bit, as np.linalg.norm(row) is.
-        r = np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
-        _write_csv(out / "path_samples.csv",
-                   ["s", "x1", "x2", "x3", "theta", "phi", "r"],
-                   np.column_stack([s, x, path.theta(s), path.phi(s), r]).tolist())
-
-    elif config.subcommand == "holonomy":
-        s = np.linspace(0.0, 1.0, 513)
-        costheta = np.cos(path.theta(s))
-        phidot = path.phi.derivative(s)
-        _write_csv(out / "integrand.csv",
-                   ["s", "costheta", "phidot", "integrand_cos", "integrand_area"],
-                   [(si, c, pd, c * pd, (1.0 - c) * pd)
-                    for si, c, pd in zip(s, costheta, phidot)])
-
-    elif config.subcommand == "noise-mc":
+    elif sub == "noise-mc":
         spec = noise.NoiseSpec(sigma=config.sigma, tau=config.tau,
                                pinning=config.pinning, seed=config.seed)
         mc = experiments.mc_delta(path, spec, config.epsilon, config.n, config.mode)
+        has_analytic = not np.isnan(mc.analytic_delta)
         results["delta_mean"] = mc.delta_mean
         results["delta_std"] = mc.delta_std
         results["std_error"] = mc.std_error
-        results["analytic_delta"] = (None if np.isnan(mc.analytic_delta)
-                                     else mc.analytic_delta)
+        results["analytic_delta"] = mc.analytic_delta if has_analytic else None
         results["n_excluded"] = mc.n_excluded
-        if not np.isnan(mc.analytic_delta):
+        line = f"delta_std: {mc.delta_std:.6g} +- {mc.std_error:.2g}"
+        if has_analytic:
+            line += f"   analytic: {mc.analytic_delta:.6g}"
             ok = abs(mc.delta_std - mc.analytic_delta) <= 3.0 * mc.std_error
             checks.append(("Monte Carlo Delta within 3 standard errors "
                            "of the analytic value", ok))
+        report.append(line)
         _write_csv(out / "realizations.csv",
                    ["index", "delta_omega", "leakage", "included"],
                    [(i, d, l, l <= propagator.LEAKAGE_LIMIT)
                     for i, (d, l) in enumerate(zip(mc.deltas, mc.leakages))])
 
-    elif config.subcommand == "scaling":
-        sr = experiments.scaling_study(
-            path, config.p, config.q, config.tau0, config.sigma0,
-            config.epsilon_grid, config.n, config.mode,
-            pinning=config.pinning, base_seed=config.seed,
-        )
-        tol = config.tolerance if config.tolerance is not None else _DEFAULT_TOLERANCE["scaling"]
-        ok = abs(sr.fit.exponent - sr.predicted_exponent) <= tol
-        checks.append((f"fitted exponent within {tol} of predicted", ok))
-        results["fit"] = _fit_block(sr.fit)
-        results["predicted_exponent"] = sr.predicted_exponent
+    else:
+        # The fitted studies: a power law, its check, <sub>.csv and the
+        # plot data <sub>_fit.dat of the CSV's first two columns.
+        tol = config.tolerance if config.tolerance is not None else _DEFAULT_TOLERANCE[sub]
+        target = None
+        if sub == "scaling":
+            study = experiments.scaling_study(
+                path, config.p, config.q, config.tau0, config.sigma0,
+                config.epsilon_grid, config.n, config.mode,
+                pinning=config.pinning, base_seed=config.seed,
+            )
+            fit = study.fit
+            target = results["predicted_exponent"] = noise.predicted_exponent(
+                config.p, config.q)
+            header = ["epsilon", "delta", "std_error", "analytic_delta"]
+            rows = [(x, y, mc.std_error, mc.analytic_delta)
+                    for x, y, mc in zip(fit.xs, fit.ys, study.results)]
+            checks.append((f"fitted exponent within {tol} of predicted",
+                           abs(fit.exponent - target) <= tol))
+        elif sub == "timing":
+            fit = experiments.timing_study(path, config.delta_t, config.t0_grid,
+                                           steps_per_unit_time=config.steps_per_unit_time)
+            target = -1.0
+            results["delta_t"] = config.delta_t
+            header = ["t0", "error"]
+            rows = list(zip(fit.xs, fit.ys))
+            checks.append((f"fitted slope within {tol} of -1",
+                           abs(fit.exponent - target) <= tol))
+        else:
+            fit = experiments.convergence_study(
+                path, config.epsilon_grid,
+                steps_per_unit_time=config.steps_per_unit_time)
+            header = ["epsilon", "distance"]
+            rows = list(zip(fit.xs, fit.ys))
+            checks.append((f"fitted slope at least {tol}", fit.exponent >= tol))
+        results["fit"] = {
+            "exponent": fit.exponent,
+            "exponent_stderr": fit.exponent_stderr,
+            "intercept": fit.intercept,
+            "residual": fit.residual,
+        }
         results["tolerance"] = tol
-        _write_csv(out / "scaling.csv",
-                   ["epsilon", "delta", "std_error", "analytic_delta"],
-                   zip(sr.epsilons, sr.deltas, sr.std_errors, sr.analytic))
-        _write_plotdata(out / "scaling_fit.dat", "epsilon", "delta",
-                        sr.epsilons, sr.deltas)
-
-    elif config.subcommand == "timing":
-        fit = experiments.timing_study(path, config.delta_t, config.t0_grid,
-                                       steps_per_unit_time=config.steps_per_unit_time)
-        tol = config.tolerance if config.tolerance is not None else _DEFAULT_TOLERANCE["timing"]
-        ok = abs(fit.exponent - (-1.0)) <= tol
-        checks.append((f"fitted slope within {tol} of -1", ok))
-        results["fit"] = _fit_block(fit)
-        results["delta_t"] = config.delta_t
-        results["tolerance"] = tol
-        _write_csv(out / "timing.csv", ["t0", "error"], zip(fit.xs, fit.ys))
-        _write_plotdata(out / "timing_fit.dat", "t0", "error", fit.xs, fit.ys)
-
-    elif config.subcommand == "convergence":
-        fit = experiments.convergence_study(
-            path, config.epsilon_grid,
-            steps_per_unit_time=config.steps_per_unit_time)
-        tol = config.tolerance if config.tolerance is not None else _DEFAULT_TOLERANCE["convergence"]
-        ok = fit.exponent >= tol
-        checks.append((f"fitted slope at least {tol}", ok))
-        results["fit"] = _fit_block(fit)
-        results["tolerance"] = tol
-        _write_csv(out / "convergence.csv", ["epsilon", "distance"],
-                   zip(fit.xs, fit.ys))
-        _write_plotdata(out / "convergence_fit.dat", "epsilon", "distance",
-                        fit.xs, fit.ys)
+        line = f"exponent: {fit.exponent:.4g} +- {fit.exponent_stderr:.2g}"
+        if target is not None:
+            line += f" (predicted {target:.4g})"
+        report.append(line)
+        _write_csv(out / f"{sub}.csv", header, rows)
+        _write_csv(out / f"{sub}_fit.dat", [f"# {header[0]}", header[1]],
+                   [row[:2] for row in rows], sep=" ")
 
     results["checks"] = [{"name": name, "passed": bool(ok)} for name, ok in checks]
     _write_json(out / "summary.json", summary)
@@ -525,57 +537,9 @@ def run(config: RunConfig) -> int:
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
         "numpy_version": np.__version__,
     })
-    for line in emit_report(summary):
-        print(line)
+    report += [f"{name}: {'PASS' if ok else 'FAIL'}" for name, ok in checks]
+    print("\n".join(report))
     return 0 if all(ok for _, ok in checks) else 3
-
-
-def _fit_block(fit: experiments.PowerLawFit) -> dict:
-    return {
-        "exponent": fit.exponent,
-        "exponent_stderr": fit.exponent_stderr,
-        "intercept": fit.intercept,
-        "residual": fit.residual,
-    }
-
-
-def emit_report(summary: dict) -> list[str]:
-    """Human-readable headline lines; the JSON stays the authoritative record."""
-    sub = summary["subcommand"]
-    results = summary["results"]
-    lines = [f"subcommand: {sub}"]
-    if "omega_canonical" in results:
-        lines.append(
-            "omega_cos: {:.6g}   omega_area: {:.6g}   winding: {}   canonical: {:.6g}"
-            .format(results["omega_cos"], results["omega_area"],
-                    results["winding"], results["omega_canonical"]))
-    if "ideal_gate" in results:
-        g = results["ideal_gate"]
-        lines.append("ideal gate: [[{:.6g}, {:.6g}], [{:.6g}, {:.6g}]]".format(
-            g[0][0], g[0][1], g[1][0], g[1][1]))
-    if sub == "gate":
-        lines.append("extracted angle: {:.6g}   leakage: {:.3g}   |gate - ideal|_F: {:.3g}"
-                     .format(results["extracted_angle"], results["leakage"],
-                             results["distance_to_ideal"]))
-    if sub == "noise-mc":
-        line = "delta_std: {:.6g} +- {:.2g}".format(results["delta_std"],
-                                                    results["std_error"])
-        if results.get("analytic_delta") is not None:
-            line += "   analytic: {:.6g}".format(results["analytic_delta"])
-        lines.append(line)
-    if "fit" in results:
-        fit = results["fit"]
-        target = {"scaling": results.get("predicted_exponent"),
-                  "timing": -1.0, "convergence": None}.get(sub)
-        line = "exponent: {:.4g} +- {:.2g}".format(fit["exponent"],
-                                                   fit["exponent_stderr"])
-        if target is not None:
-            line += " (predicted {:.4g})".format(target)
-        lines.append(line)
-    for check in results.get("checks", []):
-        lines.append("{}: {}".format(check["name"],
-                                     "PASS" if check["passed"] else "FAIL"))
-    return lines
 
 
 def main(argv=None) -> int:

@@ -53,14 +53,11 @@ class PowerLawFit:
 
 @dataclass(frozen=True, eq=False)
 class ScalingResult:
-    """Delta versus epsilon under scaled noise, with its power-law fit."""
+    """Delta versus epsilon under scaled noise: the power-law fit of
+    fit.ys = Delta against fit.xs = epsilon, ascending, and the ensemble
+    behind each point."""
 
-    epsilons: np.ndarray
-    deltas: np.ndarray
-    std_errors: np.ndarray
-    analytic: np.ndarray
     fit: PowerLawFit
-    predicted_exponent: float
     results: tuple[MCResult, ...]
 
 
@@ -81,15 +78,19 @@ def threads_from_env() -> int | None:
     return value
 
 
-def _mc_intervals(path: paths.ControlPath, spec: noise.NoiseSpec, period: float) -> int:
+def _mc_intervals(path: paths.ControlPath, spec: noise.NoiseSpec, period: float) -> float:
     """Interval count of the uniform grid resolving both the noise
-    correlation and the drive."""
+    correlation and the drive.
+
+    A whole number held as a float: a tiny tau makes it too large for any
+    grid, or infinite, so callers compare it with MAX_STEPS first.
+    """
     dense = np.linspace(0.0, 1.0, 257)
     r_max = float(np.max(path.radius(dense)))
-    n = max(2000, int(np.ceil(10.0 * period * r_max)))
+    n = max(2000.0, float(np.ceil(10.0 * period * r_max)))
     driven = [t for s, t in zip(spec.sigma, spec.tau) if s > 0.0]
     if driven:
-        n = max(n, int(np.ceil(10.0 * period / min(driven))))
+        n = max(n, float(np.ceil(10.0 * period / min(driven))))
     return n
 
 
@@ -100,11 +101,11 @@ def _mc_grid(path: paths.ControlPath, spec: noise.NoiseSpec, period: float) -> n
     propagator.MAX_STEPS.
     """
     n = _mc_intervals(path, spec, period)
-    if n > propagator.MAX_STEPS:
+    if not n <= propagator.MAX_STEPS:
         raise propagator.StepLimitError(
-            f"{n} noise grid intervals exceed the limit of "
+            f"{n:.6g} noise grid intervals exceed the limit of "
             f"MAX_STEPS = {propagator.MAX_STEPS}")
-    return np.linspace(0.0, period, n + 1)
+    return np.linspace(0.0, period, int(n) + 1)
 
 
 class _IntervalEngine:
@@ -116,7 +117,7 @@ class _IntervalEngine:
     with closed-form moments: with a = exp(-2 dt / tau) per segment,
 
         E[Y | x0, x1] = (x0 + x1) (1 - a) / (lam (1 + a)),      lam = 2/tau,
-        Var[Y | x0, x1] = s^2 [2 (lam dt - 1 + a)/lam^2 - 2 g^2/(1+a)],
+        Var[Y | x0, x1] = s^2 [tau dt - tau^2 (1 - a)/2 - 2 g^2/(1+a)],
 
     g = (1 - a)/lam, independently across segments by the Markov property.
     Sampling those instead of a tau/10-resolved path gives the identical
@@ -142,7 +143,9 @@ class _IntervalEngine:
             a = np.exp(-lam * seg_dt)
             g = (1.0 - a) / lam
             beta = g / (1.0 + a)
-            var_y = 2.0 * (lam * seg_dt - 1.0 + a) / lam ** 2 - 2.0 * g * g / (1.0 + a)
+            # 2 (lam dt - 1 + a)/lam^2 - 2 g^2/(1+a), written so that no
+            # term overflows at a tiny tau (lam^2 would from tau ~ 1e-154).
+            var_y = tau * seg_dt - 0.5 * tau * tau * (1.0 - a) - 2.0 * g * g / (1.0 + a)
             mid = 0.5 * (nodes[:-1] + nodes[1:])
             kern = holonomy.angle_response_kernel(path, mid / period)[:, axis] / period
             if spec.pinning == "endpoint-ramp":
@@ -216,13 +219,16 @@ def mc_delta(path: paths.ControlPath, spec: noise.NoiseSpec, epsilon: float,
                          "does not close the loop")
     if n < 2:
         raise ValueError(f"n must be at least 2 to estimate a spread, got {n}")
+    propagator._check_epsilon(epsilon)
     n_workers = threads_from_env() or min(8, os.cpu_count() or 1)
     period = 1.0 / float(epsilon)
     n_intervals = _mc_intervals(path, spec, period)
     if mode == "full_propagation":
-        spu = int(np.ceil(n_intervals / period))
-        # Rejects an oversized ensemble before its grid or noise exists.
+        # Rejects an oversized ensemble, an infinite density too, before its
+        # grid or noise exists.
+        spu = np.ceil(n_intervals / period)
         propagator._effective_steps(path, float(epsilon), spu)
+        spu = int(spu)
     if mode == "first_order":
         # The interval engine never reads the dense grid, so only the direct
         # sampler builds it.
@@ -311,23 +317,15 @@ def scaling_study(path: paths.ControlPath, p: float, q: float, tau0: float,
         raise ValueError("epsilon grid needs at least 4 points")
     if eps[-1] / eps[0] < 10.0:
         raise ValueError("epsilon grid must span at least one decade")
+    # Every point's noise, so that a bad epsilon fails before any ensemble.
+    params = [noise.scaling_params(float(e), p, q, tau0, sigma0) for e in eps]
     results = []
-    for j, e in enumerate(eps):
-        tau, sigma = noise.scaling_params(float(e), p, q, tau0, sigma0)
+    for j, (e, (tau, sigma)) in enumerate(zip(eps, params)):
         spec = noise.NoiseSpec.uniform(sigma, tau, pinning=pinning,
                                        seed=_point_seed(base_seed, j))
         results.append(mc_delta(path, spec, float(e), n, mode))
-    deltas = np.array([r.delta_std for r in results])
-    fit = fit_power_law(eps, deltas)
-    return ScalingResult(
-        epsilons=eps,
-        deltas=deltas,
-        std_errors=np.array([r.std_error for r in results]),
-        analytic=np.array([r.analytic_delta for r in results]),
-        fit=fit,
-        predicted_exponent=noise.predicted_exponent(p, q),
-        results=tuple(results),
-    )
+    fit = fit_power_law(eps, [r.delta_std for r in results])
+    return ScalingResult(fit=fit, results=tuple(results))
 
 
 def gate_distance(path: paths.ControlPath, epsilon: float,

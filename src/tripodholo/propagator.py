@@ -150,6 +150,12 @@ def _propagate(steps, n: int, dt: float) -> np.ndarray:
     return _Q[:, None] * big_m * _Q.conj()[None, :]
 
 
+def _check_epsilon(epsilon: float) -> None:
+    """Raise ValueError unless the adiabatic parameter is positive and finite."""
+    if not (np.isfinite(epsilon) and epsilon > 0.0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+
+
 def _effective_steps(path: ControlPath, epsilon: float,
                      steps_per_unit_time: int) -> int:
     """Step count over T = 1/epsilon keeping dt <= min(1/spu, 0.1/max r).
@@ -157,10 +163,9 @@ def _effective_steps(path: ControlPath, epsilon: float,
     Raises ValueError unless epsilon is positive and finite and spu is at
     least 1, and StepLimitError when the count exceeds MAX_STEPS, before any
     step is allocated; the comparison runs in floats, so an infinite count
-    gets the same error.
+    (or spu) gets the same error.
     """
-    if not (np.isfinite(epsilon) and epsilon > 0.0):
-        raise ValueError("epsilon must be positive and finite")
+    _check_epsilon(epsilon)
     if steps_per_unit_time < 1:
         raise ValueError("steps_per_unit_time must be at least 1")
     rr = path.radius(np.linspace(0.0, 1.0, 257))

@@ -185,7 +185,7 @@ def test_criterion_08_exponent_law(capsys):
             f"fitted exponent = {res.fit.exponent:.3f} +- "
             f"{res.fit.exponent_stderr:.3f} (1.25 +- 0.15); extrapolated "
             f"Delta(eps=1e-4) = {extrapolated:.2e} (< 1e-4 adiabatic bound)")
-    assert res.predicted_exponent == pytest.approx(1.25)
+    assert th.predicted_exponent(0.5, 0.5) == pytest.approx(1.25)
     assert abs(res.fit.exponent - 1.25) <= 0.15
     assert extrapolated < 1e-4
     assert all(r.n_excluded == 0 for r in res.results)

@@ -403,6 +403,55 @@ seed = 4
     assert "PASS" in out
 
 
+_SIXTY = "theta0 = 1.0471975511965976"
+_REPORTS = {
+    "gate": (MINIMAL_GATE.replace(_SIXTY, "theta0 = 1.0"), [
+        "subcommand: gate",
+        "omega_cos: 3.39482   omega_area: 2.88837   winding: 1   canonical: -2.88837",
+        "ideal gate: [[-0.968109, -0.250529], [0.250529, -0.968109]]",
+        "extracted angle: -3.01653   leakage: 0.0524   |gate - ideal|_F: 0.186",
+        "leakage below 0.1: PASS",
+    ]),
+    "holonomy": ("[path]\nfamily = lune\ndphi = 1.2\ndelta = 0.01\n", [
+        "subcommand: holonomy",
+        "omega_cos: -1.19994   omega_area: 1.19994   winding: 0   canonical: -1.19994",
+        "ideal gate: [[0.362414, -0.932017], [0.932017, 0.362414]]",
+    ]),
+    "noise-mc": (MINIMAL_GATE.replace("[experiment]", "[noise]\nsigma = 0.02\n"
+                                      "tau = 0.1\n\n[experiment]") + "n = 150\nseed = 12\n", [
+        "subcommand: noise-mc",
+        "delta_std: 0.00706866 +- 0.00041   analytic: 0.0076953",
+        "Monte Carlo Delta within 3 standard errors of the analytic value: PASS",
+    ]),
+    "scaling": (MINIMAL_GATE.replace(_SIXTY, "theta0 = 1.5707963267948966")
+                + "n = 150\nepsilon_min = 0.005\nepsilon_max = 0.1\n"
+                  "points_per_decade = 3\nseed = 4\n", [
+        "subcommand: scaling",
+        "exponent: 1.208 +- 0.023 (predicted 1.25)",
+        "fitted exponent within 0.15 of predicted: PASS",
+    ]),
+    "timing": (MINIMAL_GATE + "delta_t = 1.0\nt0_grid = 100, 200, 400\n", [
+        "subcommand: timing",
+        "exponent: -0.9926 +- 0.00044 (predicted -1)",
+        "fitted slope within 0.2 of -1: PASS",
+    ]),
+    "convergence": (MINIMAL_GATE + "epsilon_grid = 0.2, 0.1, 0.05\n", [
+        "subcommand: convergence",
+        "exponent: 1.562 +- 0.11",
+        "fitted slope at least 0.8: PASS",
+    ]),
+}
+
+
+@pytest.mark.parametrize("subcommand", list(_REPORTS))
+def test_report_lines(tmp_path, capsys, subcommand):
+    text, expected = _REPORTS[subcommand]
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(text.replace("subcommand = gate\n", ""), encoding="utf-8")
+    assert cli.main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().out.splitlines() == expected
+
+
 def test_threads_env_validation(tmp_path, monkeypatch):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(MINIMAL_GATE, encoding="utf-8")
@@ -468,6 +517,23 @@ def test_exact_bridge_noise_grid_past_the_ceiling_is_a_config_error(
                    "tau = 0.001\npinning = exact-bridge\n", encoding="utf-8")
     assert cli.main(["noise-mc", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "200000 noise grid intervals exceed" in capsys.readouterr().err
+
+
+def test_noise_mc_with_a_tiny_tau_runs(tmp_path):
+    cfg = tmp_path / "cfg.ini"
+    text = MINIMAL_GATE.replace("subcommand = gate", "subcommand = noise-mc")
+    cfg.write_text(text + "n = 100\n\n[noise]\nsigma = 0.01\ntau = 1e-160\n",
+                   encoding="utf-8")
+    assert cli.main(["noise-mc", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_exact_bridge_with_a_tiny_tau_names_the_interval_count(tmp_path, capsys):
+    cfg = tmp_path / "cfg.ini"
+    text = MINIMAL_GATE.replace("subcommand = gate", "subcommand = noise-mc")
+    cfg.write_text(text + "n = 100\n\n[noise]\nsigma = 0.01\ntau = 1e-160\n"
+                   "pinning = exact-bridge\n", encoding="utf-8")
+    assert cli.main(["noise-mc", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "2e+162 noise grid intervals exceed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("subcommand, old, new, key", [

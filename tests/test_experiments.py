@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -205,7 +206,7 @@ def test_scaling_study_p1_q1():
     grid = np.geomspace(1e-2, 1e-1, 5)
     res = scaling_study(EQUATOR, 1.0, 1.0, 1.0, 1.0, grid, n=400,
                         mode="first_order", base_seed=2)
-    assert res.predicted_exponent == pytest.approx(2.0)
+    assert noise_mod.predicted_exponent(1.0, 1.0) == pytest.approx(2.0)
     assert res.fit.exponent == pytest.approx(2.0, abs=0.2)
 
 
@@ -283,6 +284,61 @@ def test_direct_sampler_grid_past_the_ceiling_is_rejected_before_allocation(monk
                        match="200000 noise grid intervals exceed the limit of "
                              "MAX_STEPS = 4096"):
         mc_delta(EQUATOR, spec, 0.05, 4, "first_order")
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -0.05, float("nan"), float("inf")])
+@pytest.mark.parametrize("mode", experiments.MC_MODES)
+def test_bad_epsilon_is_rejected_before_any_grid_or_draw(monkeypatch, epsilon, mode):
+    def nothing(*args, **kwargs):
+        raise AssertionError("a grid was built or noise drawn")
+
+    monkeypatch.setattr(experiments, "_mc_intervals", nothing)
+    monkeypatch.setattr(noise_mod, "sample_realization", nothing)
+    spec = NoiseSpec.uniform(0.01, 0.5, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            mc_delta(EQUATOR, spec, epsilon, 4, mode)
+
+
+def test_scaling_grid_is_checked_before_the_first_ensemble(monkeypatch):
+    # The grid runs in ascending order; 2.0 used to fail only after the
+    # ensembles of the three smaller points had run.
+    def no_ensemble(*args, **kwargs):
+        raise AssertionError("an ensemble ran")
+
+    monkeypatch.setattr(experiments, "mc_delta", no_ensemble)
+    with pytest.raises(ValueError, match="epsilon must lie in"):
+        scaling_study(EQUATOR, 0.5, 0.5, 1.0, 1.0, [0.01, 0.1, 1.0, 2.0], n=10,
+                      mode="first_order")
+
+
+@pytest.mark.parametrize("pinning", ["none", "endpoint-ramp"])
+def test_interval_engine_spread_scales_as_sqrt_tau_down_to_tiny_tau(pinning):
+    # With tau far below the segment length the spread is sigma sqrt(tau)
+    # times a constant; lam^2 = (2/tau)^2 used to overflow from tau ~ 1e-154.
+    ratios = [mc_delta(EQUATOR, NoiseSpec.uniform(0.01, tau, pinning=pinning, seed=0),
+                       0.05, 4, "first_order").delta_std / np.sqrt(tau)
+              for tau in (1e-100, 1e-160)]
+    assert ratios[0] > 0.0
+    assert ratios[1] == pytest.approx(ratios[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("tau", [1e-160, 1e-300, 1e-307])
+@pytest.mark.parametrize("pinning", noise_mod.PINNING_MODES)
+def test_tiny_tau_runs_or_names_the_grid_size(pinning, tau):
+    spec = NoiseSpec.uniform(0.01, tau, pinning=pinning, seed=0)
+    if pinning == "exact-bridge":
+        # The direct sampler's dense grid would need 200/tau intervals.
+        with pytest.raises(propagator.StepLimitError, match="noise grid intervals exceed"):
+            mc_delta(EQUATOR, spec, 0.05, 4, "first_order")
+    else:
+        res = mc_delta(EQUATOR, spec, 0.05, 4, "first_order")
+        assert np.all(np.isfinite(res.deltas))
+        assert res.delta_std > 0.0
+    if pinning != "none":
+        with pytest.raises(propagator.StepLimitError, match="time steps exceed"):
+            mc_delta(EQUATOR, spec, 0.05, 4, "full_propagation")
 
 
 def test_mc_full_mode_reports_leakage_fields():
