@@ -249,8 +249,9 @@ def parse_config(text: str, subcommand: str | None = None) -> RunConfig:
     if any(s < 0 for s in sigma):
         noisesec._fail("sigma", "components must be nonnegative")
     tau = _triple(noisesec, "tau", (1.0, 1.0, 1.0))
-    if any(t <= 0 for t in tau):
-        noisesec._fail("tau", "components must be positive")
+    if any(t < noise._TAU_MIN for t in tau):
+        noisesec._fail("tau", f"components must be positive, and at least the "
+                              f"smallest normal float {noise._TAU_MIN!r}")
     pinning = noisesec.string("pinning", default="endpoint-ramp",
                               choices=noise.PINNING_MODES)
     noisesec.reject_unknown()
@@ -297,7 +298,7 @@ def parse_config(text: str, subcommand: str | None = None) -> RunConfig:
         raise ConfigError("[experiment] delta_t must be nonzero for the timing study")
     if sub == "scaling" and len(eps_grid) < 4:
         raise ConfigError("[experiment] the scaling study needs >= 4 epsilon points")
-    if sub in ("scaling", "convergence") and len(eps_grid) < 3:
+    if sub == "convergence" and len(eps_grid) < 3:
         raise ConfigError("[experiment] epsilon_grid needs >= 3 points")
     if sub == "timing" and len(t0_grid) < 3:
         raise ConfigError("[experiment] t0_grid needs >= 3 points")
@@ -310,6 +311,9 @@ def parse_config(text: str, subcommand: str | None = None) -> RunConfig:
     if sub == "scaling" and max(eps_grid) / min(eps_grid) < 10.0:
         exp._fail(grid_key, f"the scaling study needs epsilon to span at least "
                             f"one decade, got {min(eps_grid):g} to {max(eps_grid):g}")
+    if sub == "scaling" and tau0 * min(eps_grid) ** p < noise._TAU_MIN:
+        exp._fail("tau0", f"tau = tau0 * min(epsilon)^p = {tau0 * min(eps_grid) ** p:g} "
+                          f"is below the smallest normal float {noise._TAU_MIN!r}")
     if sub == "timing" and abs(delta_t) >= 0.5 * min(t0_grid):
         exp._fail("delta_t" if "delta_t" in exp.raw else "t0_grid",
                   f"|delta_t| = {abs(delta_t):g} must be below "

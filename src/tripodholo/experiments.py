@@ -183,15 +183,13 @@ class _IntervalEngine:
             w = innov * rng.standard_normal(innov.size)
             eta = rng.standard_normal(res_w.size)
             x = np.empty(innov.size)
+            x[0] = w[0]
             pos = 0
             for n_seg in blocks:
                 a_blk = float(a[pos])
-                if pos == 0:
-                    x[: n_seg + 1] = lfilter([1.0], [1.0, -a_blk], w[: n_seg + 1])
-                else:
-                    y, _ = lfilter([1.0], [1.0, -a_blk], w[pos + 1: pos + 1 + n_seg],
-                                   zi=np.array([a_blk * x[pos]]))
-                    x[pos + 1: pos + 1 + n_seg] = y
+                x[pos + 1: pos + 1 + n_seg], _ = lfilter(
+                    [1.0], [1.0, -a_blk], w[pos + 1: pos + 1 + n_seg],
+                    zi=np.array([a_blk * x[pos]]))
                 pos += n_seg
             total += float(node_w @ x + res_w @ eta)
         return total
@@ -317,15 +315,16 @@ def scaling_study(path: paths.ControlPath, p: float, q: float, tau0: float,
         raise ValueError("epsilon grid needs at least 4 points")
     if eps[-1] / eps[0] < 10.0:
         raise ValueError("epsilon grid must span at least one decade")
-    # Every point's noise, so that a bad epsilon fails before any ensemble.
-    params = [noise.scaling_params(float(e), p, q, tau0, sigma0) for e in eps]
-    results = []
-    for j, (e, (tau, sigma)) in enumerate(zip(eps, params)):
-        spec = noise.NoiseSpec.uniform(sigma, tau, pinning=pinning,
-                                       seed=_point_seed(base_seed, j))
-        results.append(mc_delta(path, spec, float(e), n, mode))
+    # Every point's noise, so that a bad epsilon or tau fails before any
+    # ensemble.
+    specs = []
+    for j, e in enumerate(eps):
+        tau, sigma = noise.scaling_params(float(e), p, q, tau0, sigma0)
+        specs.append(noise.NoiseSpec.uniform(sigma, tau, pinning=pinning,
+                                             seed=_point_seed(base_seed, j)))
+    results = tuple(mc_delta(path, spec, float(e), n, mode) for e, spec in zip(eps, specs))
     fit = fit_power_law(eps, [r.delta_std for r in results])
-    return ScalingResult(fit=fit, results=tuple(results))
+    return ScalingResult(fit=fit, results=results)
 
 
 def gate_distance(path: paths.ControlPath, epsilon: float,

@@ -97,8 +97,9 @@ def gate_from_connection(path: ControlPath) -> np.ndarray:
     return ideal_gate(solid_angle(path).omega_cos)
 
 
-def delta_omega_first_order(path: ControlPath, dx, s_grid=None) -> float:
-    """First-order solid-angle response to a sampled perturbation dx(s).
+def delta_omega_first_order(path: ControlPath, dx, s_grid) -> float:
+    """First-order solid-angle response to a perturbation dx sampled on
+    s_grid, a grid 0..1 or a physical-time grid 0..T.
 
     delta_omega = integral of (x^ cross dx^/ds) . dx / r ds. The cross-product
     kernel is tangent to the sphere, so purely radial perturbations drop out
@@ -106,13 +107,9 @@ def delta_omega_first_order(path: ControlPath, dx, s_grid=None) -> float:
     angular one.
     """
     dx = np.asarray(dx, dtype=float)
-    if s_grid is None:
-        s = np.linspace(0.0, 1.0, dx.shape[0])
-    else:
-        # A grid 0..1, or a physical-time grid 0..T; the integral is
-        # parametrization invariant, so map it to [0, 1].
-        s = np.asarray(s_grid, dtype=float)
-        s = s / s[-1]
+    # The integral is parametrization invariant, so map the grid to [0, 1].
+    s = np.asarray(s_grid, dtype=float)
+    s = s / s[-1]
     if dx.shape != (s.size, 3):
         raise ValueError("dx must have shape (len(grid), 3)")
     kern = angle_response_kernel(path, s)

@@ -17,6 +17,9 @@ from scipy.signal import lfilter
 PINNING_MODES = ("none", "endpoint-ramp", "exact-bridge")
 #: Endpoint ramps span this many correlation times.
 RAMP_WIDTH_TAUS = 5.0
+#: Smallest correlation time: the smallest normal float. Below it 2/tau is
+#: infinite and the interval engine's segment moments turn into NaN.
+_TAU_MIN = float(np.finfo(float).tiny)
 
 
 def _as_triple(v) -> tuple[float, float, float]:
@@ -45,8 +48,9 @@ class NoiseSpec:
                 raise ValueError(f"{name} components must be finite")
         if any(s < 0 for s in self.sigma):
             raise ValueError("sigma components must be nonnegative")
-        if any(t <= 0 for t in self.tau):
-            raise ValueError("tau components must be positive")
+        if any(t < _TAU_MIN for t in self.tau):
+            raise ValueError(f"tau components must be positive, and at least the "
+                             f"smallest normal float {_TAU_MIN!r}")
         if self.pinning not in PINNING_MODES:
             raise ValueError(f"pinning must be one of {PINNING_MODES}")
 

@@ -209,9 +209,10 @@ def evolve_moving(path: ControlPath, epsilon: float, *,
                   steps_per_unit_time: int = STEPS_PER_UNIT_TIME) -> np.ndarray:
     """Moving-frame propagator V(T) solving i dV/dt = (eps A + alpha H0) V.
 
-    A = i (dR/dt) R^-1 comes analytically from the frame angular velocity and
-    exponentiates to a real rotation of the excited triplet, v -> p v conj(p)
-    with p = cos(|rho|/2) + sin(|rho|/2) rho^ for rotation vector rho; alpha
+    A = i (dR/dt) R^-1 comes analytically from the frame angular velocity w
+    and exponentiates over half a step to a real rotation of the excited
+    triplet, v -> p v conj(p), with p = cos(eps dt |w|/4) - sin(eps dt |w|/4) w^:
+    the closed-form tripod step tripod.step_unitaries(w, eps dt / 2). alpha
     H0 is the initial Hamiltonian rescaled by r(s)/r(0) and exponentiates in
     closed form to the quaternion q. A symmetric split of the two keeps every
     step unitary and the whole scheme second order; the step
@@ -224,25 +225,11 @@ def evolve_moving(path: ControlPath, epsilon: float, *,
 
     def steps(t):
         s_mid = t * epsilon
-        rho = -0.5 * epsilon * dt * tripod.frame_angular_velocity(path, s_mid)
-        angle = np.linalg.norm(rho, axis=1)
-        # p as the pair (cos(a/2) + i s rho_x, s rho_y + i s rho_z), with
-        # s = sin(a/2)/a written through sinc for small angles.
-        scale = 0.5 * np.sinc(angle / (2.0 * np.pi))
-        p = np.empty((2, t.size), dtype=complex)
-        p[0].real = np.cos(0.5 * angle)
-        p[0].imag = rho[:, 0] * scale
-        p[1].real = rho[:, 1] * scale
-        p[1].imag = rho[:, 2] * scale
-
+        w = tripod.frame_angular_velocity(path, s_mid)
+        p = _pair(tripod.step_unitaries(w, 0.5 * epsilon * dt))
         alpha = path.radius(s_mid) / r0
         q = _pair(tripod.step_unitaries(np.broadcast_to(x0, (t.size, 3)), alpha * dt))
-        # p q p and p conj(q) p share the part q0 p p and differ in the sign
-        # of p q_vec p, with q_vec the vector part of q.
-        shared = q[0].real * _qmul(p, p)
-        q[0].real = 0.0
-        vector = _qmul(_qmul(p, q), p)
-        return shared + vector, shared - vector
+        return _qmul(_qmul(p, q), p), _qmul(_qmul(p, _conj(q)), p)
 
     return _propagate(steps, n, dt)
 

@@ -71,6 +71,9 @@ def test_parse_subcommand_mismatch():
         cli.parse_config(MINIMAL_GATE, "scaling")
     config = cli.parse_config(MINIMAL_GATE, "gate")
     assert config.subcommand == "gate"
+    # main always passes the command line's subcommand; a library call need not.
+    with pytest.raises(cli.ConfigError, match="no subcommand given"):
+        cli.parse_config(MINIMAL_GATE.replace("subcommand = gate\n", ""))
 
 
 def test_parse_grid_conflicts():
@@ -656,3 +659,112 @@ def test_json_encodes_numpy_values_as_python_values(tmp_path):
     cli._write_json(tmp_path / "x.json", payload)
     assert (tmp_path / "x.json").read_text(encoding="utf-8") == (
         json.dumps(expected, sort_keys=True, indent=2) + "\n")
+
+
+def _case(subcommand, tail="", old=None, new=None, extra=(), message=""):
+    """One config-error case: MINIMAL_GATE for `subcommand` (None leaves it
+    off the command line), with `old` replaced by `new` and `tail` appended,
+    run with the extra arguments; stderr must match `message`."""
+    text = MINIMAL_GATE.replace("subcommand = gate", f"subcommand = {subcommand or 'gate'}")
+    if old is not None:
+        text = text.replace(old, new)
+    return pytest.param(subcommand, text + tail, list(extra), message)
+
+
+# MINIMAL_GATE has 9 lines, so a tail starts at line 10.
+_CONFIG_ERRORS = {
+    "no-equals": _case("gate", "n 200\n",
+                       message=r"line 10: expected 'key = value', got 'n 200'"),
+    "key-outside-section": _case("gate", old="[path]", new="seed = 1\n[path]",
+                                 message=r"line 1: key outside any \[section\]"),
+    "not-a-number": _case("gate", old="epsilon = 0.05", new="epsilon = fast",
+                          message=r"line 6: \[propagation\] epsilon: not a number: 'fast'"),
+    "not-an-integer": _case("noise-mc", "n = 2.5\n",
+                            message=r"line 10: \[experiment\] n: not an integer: '2.5'"),
+    "not-a-number-list": _case(
+        "convergence", "epsilon_grid = 0.1, fast, 0.05\n",
+        message=r"line 10: \[experiment\] epsilon_grid: not a comma-separated number list"),
+    "integer-below-minimum": _case("noise-mc", "n = 99\n",
+                                   message=r"line 10: \[experiment\] n: must be >= 100"),
+    "no-subcommand": _case(None, message="the following arguments are required: subcommand"),
+    "family-missing": _case("gate", old="family = latitude\n", new="",
+                            message=r"\[path\] family is required"),
+    "theta0-missing": _case("gate", old="theta0 = 1.0471975511965976\n", new="",
+                            message=r"\[path\] theta0 is required for the latitude family"),
+    "dphi-missing": _case("holonomy", old="family = latitude\ntheta0 = 1.0471975511965976",
+                          new="family = lune",
+                          message=r"\[path\] dphi is required for the lune family"),
+    "theta_offset-missing": _case(
+        "holonomy", old="family = latitude\ntheta0 = 1.0471975511965976",
+        new="family = fourier",
+        message=r"\[path\] theta_offset is required for the fourier family"),
+    "sigma-negative": _case(
+        "noise-mc", "\n[noise]\nsigma = -0.01\n",
+        message=r"line 12: \[noise\] sigma: components must be nonnegative"),
+    "tau-zero": _case("noise-mc", "\n[noise]\nsigma = 0.01\ntau = 0\n",
+                      message=r"line 13: \[noise\] tau: components must be positive"),
+    "epsilon-range-reversed": _case(
+        "scaling", "epsilon_min = 0.1\nepsilon_max = 0.01\n",
+        message=r"\[experiment\] epsilon_max must exceed epsilon_min"),
+    "epsilon-grid-non-positive": _case(
+        "convergence", "epsilon_grid = 0.1, 0, 0.05\n",
+        message=r"\[experiment\] epsilon_grid values must be positive"),
+    "t0-grid-non-positive": _case(
+        "timing", "t0_grid = 100, -200, 400\n",
+        message=r"\[experiment\] t0_grid values must be positive"),
+    "timing-delta_t-zero": _case(
+        "timing", "delta_t = 0\n",
+        message=r"\[experiment\] delta_t must be nonzero for the timing study"),
+    "scaling-too-few-epsilons": _case(
+        "scaling", "epsilon_grid = 0.001, 0.01, 0.1\n",
+        message=r"\[experiment\] the scaling study needs >= 4 epsilon points"),
+    "convergence-too-few-epsilons": _case(
+        "convergence", "epsilon_grid = 0.1, 0.05\n",
+        message=r"\[experiment\] epsilon_grid needs >= 3 points"),
+    "timing-too-few-t0": _case("timing", "t0_grid = 100, 200\n",
+                               message=r"\[experiment\] t0_grid needs >= 3 points"),
+    "sigma-two-values": _case(
+        "noise-mc", "\n[noise]\nsigma = 0.01, 0.02\n",
+        message=r"line 12: \[noise\] sigma: needs one value or three comma-separated values"),
+    "fourier-invalid": _case(
+        "holonomy", old="family = latitude\ntheta0 = 1.0471975511965976",
+        new="family = fourier\ntheta_offset = 0.1\ntheta_sin = 0.5",
+        message=r"\[path\] invalid fourier profiles: theta profile leaves the open interval"),
+    "bad-argv": _case("gate", extra=["--bogus"], message="unrecognized arguments: --bogus"),
+    "negative-seed": _case("gate", extra=["--seed", "-1"],
+                           message=r"config error: --seed must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("subcommand, text, extra, message",
+                         list(_CONFIG_ERRORS.values()), ids=list(_CONFIG_ERRORS))
+def test_every_config_error_exits_2_with_its_message(tmp_path, capsys, subcommand, text,
+                                                     extra, message):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(text, encoding="utf-8")
+    argv = ([subcommand] if subcommand else []) + ["--config", str(cfg),
+                                                   "--out", str(tmp_path / "o")]
+    assert cli.main(argv + extra) == 2
+    err = capsys.readouterr().err
+    assert re.search(message, err), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("subcommand, text, key", [
+    ("noise-mc", "n = 100\nseed = 5\n\n[noise]\nsigma = 0.01\ntau = 1e-310\n",
+     r"line 15: \[noise\] tau: components must be positive, and at least the "
+     r"smallest normal float"),
+    ("scaling", "tau0 = 1e-310\nepsilon_grid = 0.005, 0.01, 0.02, 0.05\n",
+     r"line 10: \[experiment\] tau0: tau = tau0 \* min\(epsilon\)\^p = 7.07107e-312 "
+     r"is below the smallest normal float"),
+], ids=["noise-mc", "scaling"])
+def test_a_subnormal_tau_is_a_config_error(tmp_path, capsys, subcommand, text, key):
+    # Below the smallest normal float 2/tau is infinite, and the interval
+    # engine used to write NaN deltas and exit 3 through a failed check.
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(MINIMAL_GATE.replace("theta0 = 1.0471975511965976",
+                                        "theta0 = 1.5707963267948966")
+                   .replace("subcommand = gate", f"subcommand = {subcommand}") + text,
+                   encoding="utf-8")
+    assert cli.main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert re.search(key, capsys.readouterr().err)

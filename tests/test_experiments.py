@@ -317,11 +317,45 @@ def test_scaling_grid_is_checked_before_the_first_ensemble(monkeypatch):
 def test_interval_engine_spread_scales_as_sqrt_tau_down_to_tiny_tau(pinning):
     # With tau far below the segment length the spread is sigma sqrt(tau)
     # times a constant; lam^2 = (2/tau)^2 used to overflow from tau ~ 1e-154.
-    ratios = [mc_delta(EQUATOR, NoiseSpec.uniform(0.01, tau, pinning=pinning, seed=0),
-                       0.05, 4, "first_order").delta_std / np.sqrt(tau)
-              for tau in (1e-100, 1e-160)]
+    # The smallest normal float is the smallest tau a NoiseSpec accepts.
+    taus = (1e-100, 1e-160, np.finfo(float).tiny)
+    results = [mc_delta(EQUATOR, NoiseSpec.uniform(0.01, tau, pinning=pinning, seed=0),
+                        0.05, 4, "first_order")
+               for tau in taus]
+    assert all(np.all(np.isfinite(res.deltas)) for res in results)
+    ratios = [res.delta_std / np.sqrt(tau) for res, tau in zip(results, taus)]
     assert ratios[0] > 0.0
     assert ratios[1] == pytest.approx(ratios[0], rel=1e-12)
+    assert ratios[2] == pytest.approx(ratios[0], rel=1e-12)
+
+
+def test_scaling_study_rejects_a_subnormal_tau_before_the_first_ensemble(monkeypatch):
+    # tau = tau0 eps^p is 1e-320 at the smallest epsilon: below the smallest
+    # normal float 2/tau is infinite and the interval engine's moments NaN.
+    def no_ensemble(*args, **kwargs):
+        raise AssertionError("an ensemble ran")
+
+    monkeypatch.setattr(experiments, "mc_delta", no_ensemble)
+    with pytest.raises(ValueError, match="tau components must be positive, and at "
+                                         "least the smallest normal float"):
+        scaling_study(EQUATOR, 2.0, 0.5, 1.0, 1.0, [1e-160, 1e-100, 1e-50, 1e-10],
+                      n=10, mode="first_order")
+
+
+def test_interval_engine_skips_an_undriven_axis(monkeypatch):
+    # Anisotropic noise with no noise on the y axis; on this latitude loop
+    # every axis enters the kernel, so the skipped axis would show.
+    loop = latitude_loop(np.pi / 3)
+    spec = NoiseSpec(sigma=(0.01, 0.0, 0.02), tau=0.05, seed=11)
+    assert experiments._mc_intervals(loop, spec, 50.0) > 6000
+    runs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("THREADS", threads)
+        runs.append(mc_delta(loop, spec, 0.02, 2000, "first_order"))
+    res = runs[0]
+    assert abs(res.delta_std - res.analytic_delta) < 3.0 * res.std_error
+    assert runs[1].deltas.tobytes() == res.deltas.tobytes()
+    assert runs[1].delta_std == res.delta_std
 
 
 @pytest.mark.parametrize("tau", [1e-160, 1e-300, 1e-307])

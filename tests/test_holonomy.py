@@ -233,6 +233,12 @@ def test_delta_omega_first_order_is_the_same_on_any_time_grid():
             normalized, rel=1e-12)
 
 
+def test_delta_omega_first_order_rejects_a_misshaped_dx():
+    s = np.linspace(0.0, 1.0, 101)
+    with pytest.raises(ValueError, match=r"dx must have shape \(len\(grid\), 3\)"):
+        delta_omega_first_order(latitude_loop(1.1, 1.0), np.zeros((101, 2)), s)
+
+
 def test_delta_variance_closed_forms():
     spec = NoiseSpec.uniform(1.0, 1.0)
     t_period = 4 * np.pi ** 2

@@ -75,6 +75,17 @@ def test_spec_validation():
             NoiseSpec(sigma=sigma, tau=tau)
     spec = NoiseSpec(sigma=0.1, tau=2.0)
     assert spec.sigma == (0.1, 0.1, 0.1)
+    with pytest.raises(ValueError, match="expected a scalar or a 3-vector"):
+        NoiseSpec(sigma=(0.1, 0.2), tau=1.0)
+
+
+def test_spec_rejects_a_subnormal_tau():
+    # Below the smallest normal float 2/tau is infinite.
+    tiny = float(np.finfo(float).tiny)
+    with pytest.raises(ValueError, match=rf"tau components must be positive, and at "
+                                         rf"least the smallest normal float {tiny!r}"):
+        NoiseSpec.uniform(0.01, 1e-310)
+    assert NoiseSpec.uniform(0.01, tiny).tau == (tiny,) * 3
 
 
 def test_zero_sigma_gives_zero_noise():
@@ -101,6 +112,13 @@ def test_grid_too_coarse_rejected():
     grid = np.linspace(0.0, 10.0, 101)  # dt = 0.1 > tau/10
     with pytest.raises(ValueError, match="coarse"):
         sample_realization(spec, grid, 0)
+
+
+def test_grid_shape_rejected():
+    spec = NoiseSpec.uniform(0.1, 1.0)
+    for grid in ([0.0], np.zeros((3, 2))):
+        with pytest.raises(ValueError, match="1-d array with at least two points"):
+            sample_realization(spec, grid, 0)
 
 
 def test_nonuniform_grid_rejected():
@@ -204,3 +222,5 @@ def test_scaling_params():
         scaling_params(0.5, -0.1, 0.5, 1.0, 1.0)
     with pytest.raises(ValueError):
         scaling_params(0.5, 0.5, 0.5, 0.0, 1.0)
+    with pytest.raises(ValueError, match="sigma0 must be nonnegative"):
+        scaling_params(0.5, 0.5, 0.5, 1.0, -0.1)

@@ -136,6 +136,12 @@ def test_fourier_path_rejects_theta_escape():
             Harmonics(offset=0.0, slope=2 * np.pi),
             Harmonics(offset=1.0),
         )
+    with pytest.raises(ValueError, match="slope must be zero"):
+        fourier_path(
+            Harmonics(offset=1.0, slope=0.1),
+            Harmonics(offset=0.0, slope=2 * np.pi),
+            Harmonics(offset=1.0),
+        )
 
 
 def test_fourier_path_rejects_bad_phi_and_r():
@@ -218,6 +224,12 @@ def test_perturb_rejects_unpinned_and_near_origin():
         perturb(path, FakeRealization(grid, toward_origin))
 
 
+def test_perturb_rejects_a_misshaped_realization():
+    grid = np.linspace(0.0, 10.0, 11)
+    with pytest.raises(ValueError, match=r"must have shape \(len\(grid\), 3\)"):
+        perturb(latitude_loop(1.0), FakeRealization(grid, np.zeros((10, 3))))
+
+
 def test_perturb_rejects_non_finite_realizations():
     # NaN compares False, so without a finiteness check it passes the origin
     # and closure checks and fails later in the winding snap.
@@ -293,6 +305,18 @@ def test_control_path_validation():
             phi=Profile(fn=lambda s: 2 * np.pi * s, dfn=lambda s: np.full_like(s, 2 * np.pi)),
             radius=Profile(fn=lambda s: 1.0 - 1.5 * s, dfn=lambda s: np.full_like(s, -1.5)),
         )
+
+
+def test_control_path_rejects_theta_outside_the_sphere_and_a_fractional_winding():
+    with pytest.raises(ValueError, match=r"within \[0, pi\]"):
+        ControlPath(theta=Harmonics(4.0), phi=Harmonics(0.0, slope=2 * np.pi),
+                    radius=Harmonics(1.0))
+    # Away from a pole the closure check rejects a fractional winding first;
+    # at theta = 2e-6 the unit vector closes to 2e-11 while phi gains
+    # 2 pi + 1e-5.
+    with pytest.raises(ValueError, match="integer multiple of 2 pi"):
+        ControlPath(theta=Harmonics(2e-6), phi=Harmonics(0.0, slope=2 * np.pi + 1e-5),
+                    radius=Harmonics(1.0))
 
 
 def test_control_path_rejects_non_finite_profiles():

@@ -65,6 +65,11 @@ def test_spectral_rejects_zero():
         tripod.spectral([0.0, 0.0, 0.0])
 
 
+def test_spectral_rejects_a_non_3_vector():
+    with pytest.raises(ValueError, match="x must be a real 3-vector"):
+        tripod.spectral([1.0, 2.0])
+
+
 def test_eigenvalue_multiset():
     rng = np.random.default_rng(8)
     for _ in range(10):
