@@ -207,8 +207,11 @@ def mc_delta(path: paths.ControlPath, spec: noise.NoiseSpec, epsilon: float,
     drive the curve near the origin, with NaN delta and leakage. Raises
     ExcludedRealizationsError when fewer than two stay in.
 
-    The ensemble runs on THREADS worker threads, or on min(8, cpu count)
-    when THREADS is unset; the result is the same at any count.
+    A first-order ensemble runs in a plain loop: each realization is a few
+    short numpy calls, so worker threads would only wait on each other. A
+    full-propagation ensemble runs on THREADS worker threads, or on
+    min(8, cpu count) when THREADS is unset. THREADS is validated in both
+    modes, and the result is the same at any count.
     """
     if mode not in MC_MODES:
         raise ValueError(f"mode must be one of {MC_MODES}")
@@ -267,7 +270,7 @@ def mc_delta(path: paths.ControlPath, spec: noise.NoiseSpec, epsilon: float,
             return d, gate.leakage
 
     indices = range(n)
-    if n_workers == 1:
+    if mode == "first_order" or n_workers == 1:
         rows = [one(i) for i in indices]
     else:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:

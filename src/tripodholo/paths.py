@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PPoly
+from scipy.interpolate import PPoly
+from scipy.linalg import solve_banded
 
 from . import tripod
 
@@ -82,19 +83,9 @@ class ControlPath:
     grid = None
 
     def __post_init__(self):
-        dense = self.grid if self.grid is not None else np.linspace(0.0, 1.0, 1025)
+        dense = np.linspace(0.0, 1.0, 1025)
         th, ph, rr = self.spherical(dense)
-        # NaN compares False with everything, so the range checks below
-        # would let a non-finite profile through.
-        for name, values in (("theta", th), ("phi", ph), ("radius", rr)):
-            bad = ~np.isfinite(values)
-            if np.any(bad):
-                raise ValueError(f"{name} profile is not finite at "
-                                 f"s = {float(dense[np.argmax(bad)]):.6g}")
-        if np.min(rr) <= 0.0:
-            raise ValueError("radius profile must stay positive")
-        if np.min(th) < -1e-12 or np.max(th) > np.pi + 1e-12:
-            raise ValueError("theta profile must stay within [0, pi]")
+        _check_profiles(dense, th, ph, rr)
         x0 = self.x(0.0)
         x1 = self.x(1.0)
         xh0 = x0 / np.linalg.norm(x0)
@@ -134,9 +125,25 @@ class ControlPath:
         return thd[..., None] * f.etheta + (phd * np.sin(th))[..., None] * f.ephi
 
 
-def _unit_vector(th, ph):
+def _check_profiles(s, th, ph, rr) -> None:
+    """Raise ValueError unless theta, phi and r, sampled at s, are finite,
+    r is positive and theta lies in [0, pi]."""
+    # NaN compares False with everything, so the range checks below
+    # would let a non-finite profile through.
+    for name, values in (("theta", th), ("phi", ph), ("radius", rr)):
+        bad = ~np.isfinite(values)
+        if np.any(bad):
+            raise ValueError(f"{name} profile is not finite at "
+                             f"s = {float(s[np.argmax(bad)]):.6g}")
+    if np.min(rr) <= 0.0:
+        raise ValueError("radius profile must stay positive")
+    if np.min(th) < -1e-12 or np.max(th) > np.pi + 1e-12:
+        raise ValueError("theta profile must stay within [0, pi]")
+
+
+def _unit_vector(th, ph, axis=-1):
     st = np.sin(th)
-    return np.stack([st * np.cos(ph), st * np.sin(ph), np.cos(th)], axis=-1)
+    return np.stack([st * np.cos(ph), st * np.sin(ph), np.cos(th)], axis=axis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +151,11 @@ class _SplinePath(ControlPath):
     """Path whose profiles are the columns of one vector spline of
     (theta, phi, r), so spherical evaluates all three in one pass."""
 
-    spline: CubicSpline
+    spline: PPoly
+
+    def __post_init__(self):
+        """Nothing to check: perturb has checked the knot values the spline
+        interpolates."""
 
     @property
     def grid(self):
@@ -255,16 +266,61 @@ def fourier_path(theta_coeffs: Harmonics, phi_coeffs: Harmonics,
     )
 
 
+def _not_a_knot(s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients of the not-a-knot cubic spline through the rows of y,
+    shape (k, n), at the n >= 4 increasing knots s: the C-contiguous PPoly
+    array of shape (4, n - 1, k) whose [..., j] fits row j.
+
+    These are the operations scipy's CubicSpline runs for this case, on
+    contiguous rows: one banded solve for the slopes at the knots, with the
+    not-a-knot end rows, and the cubic Hermite coefficients of each
+    interval. Each row is handled alone, so the result equals
+    CubicSpline(s, y.T).c, and that of a scalar fit per row, to the bit.
+    """
+    n = s.size
+    h = np.diff(s)
+    slope = np.diff(y, axis=1) / h
+    band = np.zeros((3, n))
+    band[1, 1:-1] = 2 * (h[:-1] + h[1:])
+    band[0, 2:] = h[:-1]
+    band[2, :-2] = h[1:]
+    # The right-hand sides as rows of a Fortran array, which the solver
+    # takes without a copy.
+    rhs = np.empty((n, y.shape[0]), order="F").T
+    rhs[:, 1:-1] = 3 * (h[1:] * slope[:, :-1] + h[:-1] * slope[:, 1:])
+    d = s[2] - s[0]
+    band[1, 0] = h[1]
+    band[0, 1] = d
+    rhs[:, 0] = ((h[0] + 2 * d) * h[1] * slope[:, 0] + h[0] * h[0] * slope[:, 1]) / d
+    d = s[-1] - s[-3]
+    band[1, -1] = h[-2]
+    band[2, -2] = d
+    rhs[:, -1] = (h[-1] * h[-1] * slope[:, -2] + (2 * d + h[-1]) * h[-2] * slope[:, -1]) / d
+    m = solve_banded((1, 1), band, rhs.T, overwrite_ab=True, overwrite_b=True,
+                     check_finite=False).T
+    c = np.empty((4, n - 1, y.shape[0]))
+    rows = c.transpose(0, 2, 1)
+    t = (m[:, :-1] + m[:, 1:] - 2 * slope) / h
+    np.divide(t, h, out=rows[0])
+    np.subtract((slope - m[:, :-1]) / h, t, out=rows[1])
+    rows[2] = m[:, :-1]
+    rows[3] = y[:, :-1]
+    return c
+
+
 def perturb(path: ControlPath, realization) -> ControlPath:
     """Path with the realization's Cartesian perturbation added: x' = x + dx.
 
     The perturbed curve is re-expressed in spherical profiles (phi unwrapped
-    continuously) backed by one vector cubic spline of (theta, phi, r) on the
-    realization grid; theta, phi and radius are its columns, and x and xhat
-    evaluate all three in one pass. The realization must be finite and
-    preserve unit-vector closure, which pinned noise does by construction;
-    perturbations that drive the curve near the origin (|x'| < 0.1 min r)
-    are rejected because the spectral gap would collapse.
+    continuously) backed by one vector not-a-knot cubic spline of
+    (theta, phi, r), fitted directly on the realization grid; theta, phi and
+    radius are its columns, and x and xhat evaluate all three in one pass.
+    The knot values get ControlPath's profile checks here, once, and the
+    spline path skips the re-evaluation ControlPath would make. The
+    realization must be finite, on a grid of at least 4 increasing times,
+    and preserve unit-vector closure, which pinned noise does by
+    construction; perturbations that drive the curve near the origin
+    (|x'| < 0.1 min r) are rejected because the spectral gap would collapse.
     """
     t = np.asarray(realization.grid, dtype=float)
     dx = np.asarray(realization.dx, dtype=float)
@@ -272,35 +328,42 @@ def perturb(path: ControlPath, realization) -> ControlPath:
         raise ValueError("realization dx must have shape (len(grid), 3)")
     # NaN compares False with everything, so the origin and closure checks
     # below would let a non-finite realization through.
-    bad = ~np.all(np.isfinite(dx), axis=1)
-    if np.any(bad):
-        raise ValueError(f"realization dx is not finite at "
-                         f"t = {float(t[np.argmax(bad)]):.6g}")
+    if not np.all(np.isfinite(dx)):
+        k = int(np.argmin(np.isfinite(dx).all(axis=1)))
+        raise ValueError(f"realization dx is not finite at t = {float(t[k]):.6g}")
     s = t / t[-1]
-    x = path.x(s) + dx
-    rr = np.linalg.norm(x, axis=1)
+    if s.size < 4 or not np.all(np.diff(s) > 0.0):
+        raise ValueError("realization grid must hold at least 4 increasing times")
+    # The round trip runs on contiguous (3, n) rows: x is path.x(s) + dx,
+    # transposed, and rr its norm, both to the bit.
+    th, ph, r = path.spherical(s)
+    x = r * _unit_vector(th, ph, axis=0) + dx.T
+    rr = np.linalg.norm(x, axis=0)
     r_min = float(np.min(path.radius(np.linspace(0.0, 1.0, 1025))))
     if np.min(rr) < 0.1 * r_min:
         raise ValueError("perturbation drives the curve too close to the origin")
-    xh = x / rr[:, None]
-    if np.linalg.norm(xh[0] - xh[-1]) > _CLOSURE_TOL:
+    x /= rr
+    if np.linalg.norm(x[:, 0] - x[:, -1]) > _CLOSURE_TOL:
         raise ValueError(
             "realization breaks unit-vector periodicity; use a pinned realization"
         )
-    theta = np.arccos(np.clip(xh[:, 2], -1.0, 1.0))
-    phi = np.unwrap(np.arctan2(xh[:, 1], xh[:, 0]))
+    y = np.stack([np.arccos(np.clip(x[2], -1.0, 1.0)),
+                  np.unwrap(np.arctan2(x[1], x[0])), rr])
+    # The checks ControlPath makes of its profiles. The closure check above
+    # and the winding snap below stand for its other two.
+    _check_profiles(s, *y)
     # Snap the endpoint so the winding bookkeeping stays exact under closure.
+    phi = y[1]
     phi[-1] = phi[0] + 2.0 * np.pi * round((phi[-1] - phi[0]) / (2.0 * np.pi))
-    # One banded solve with three right-hand sides: the coefficients equal
-    # those of three scalar fits bit for bit.
-    spline = CubicSpline(s, np.stack([theta, phi, rr], axis=-1))
-    slope = spline.derivative()
+    c = _not_a_knot(s, y)
+    rate = c[:3] * np.array([3.0, 2.0, 1.0])[:, None, None]
     return _SplinePath(
-        # Profile k reads column k of the coefficients, without a refit.
-        *(Profile(fn=PPoly.construct_fast(spline.c[..., k], spline.x),
-                  dfn=PPoly.construct_fast(slope.c[..., k], slope.x))
+        # Profile k reads column k of the coefficients, without a refit; its
+        # derivative's coefficients are those scaled by 3, 2 and 1.
+        *(Profile(fn=PPoly.construct_fast(c[..., k], s),
+                  dfn=PPoly.construct_fast(rate[..., k], s))
           for k in range(3)),
-        spline=spline,
+        spline=PPoly.construct_fast(c, s),
     )
 
 

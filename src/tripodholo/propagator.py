@@ -18,10 +18,10 @@ both in closed form. Every step is exactly unitary, and the two routes
 must agree through V(T) = R(T) U(T), which the tests enforce.
 
 Each route hands the core a builder that turns an array of step times into
-its step pairs. The core streams: it builds and multiplies BLOCK steps at a
-time and then multiplies the block products, all in one pairwise tree, so
-a propagation's memory stays the same while its step count grows as
-1/epsilon.
+its step pairs. The core streams: it builds BLOCK steps at a time, reduces
+them by the first levels of one pairwise tree over all steps, and finishes
+the blocks' nodes in that same tree, so a propagation's memory stays the
+same while its step count grows as 1/epsilon.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ STEPS_PER_UNIT_TIME = 20
 
 #: Largest step count one propagation may take. Steps are built and reduced
 #: BLOCK at a time, so the memory a propagation needs does not grow with the
-#: count (1.6-1.7 MB traced peak in the lab frame, 2.6-2.7 MB in the moving
+#: count (1.6-2.2 MB traced peak in the lab frame, 2.5-3.1 MB in the moving
 #: frame, from 4e4 steps to this cap). The cap bounds its run time instead,
 #: about 1.7 s (lab) and 3.1 s (moving) on a 2-core Xeon, and the dense noise
 #: grid that mc_delta builds whole for full propagation and for the direct
@@ -53,8 +53,15 @@ MAX_STEPS = 2 ** 23
 
 #: Steps built and reduced at a time, so that a block's steps and its tree
 #: stay in a 2 MiB L2 cache. It must be a power of two: then every full block
-#: is an exact subtree of the pairwise tree over all steps.
+#: is an exact subtree of the pairwise tree over all steps, and so is every
+#: full group of 2 ** BLOCK_LEVELS blocks that _propagate finishes together.
 BLOCK = 2 ** 13
+
+#: Tree levels each block is reduced by on its own, down to
+#: BLOCK / 2 ** BLOCK_LEVELS = 32 nodes. A block's nodes after these levels,
+#: or its product once it has one node left, are nodes of the tree over all
+#: steps, so this sets the speed and not the bits.
+BLOCK_LEVELS = 8
 
 #: A gate leaking more than this has lost adiabaticity, and mc_delta
 #: excludes a realization that leaks more.
@@ -106,21 +113,29 @@ def _qmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tree_product(m: np.ndarray) -> np.ndarray:
-    """Ordered product m_n ... m_1 along the last axis of complex pairs,
-    shape (2, ..., n) -> (2, ...), by one pairwise tree.
+def _tree_levels(m: np.ndarray, levels: int) -> np.ndarray:
+    """Nodes of the pairwise tree over the last axis of complex pairs after
+    its first `levels` levels: shape (2, ..., n) -> (2, ..., ceil(n / 2 ** levels)).
 
-    Each level multiplies neighbours (2i, 2i + 1) and carries an odd last
-    element up unchanged.
+    Each level multiplies neighbours (2i, 2i + 1) into m_2i+1 m_2i and
+    carries an odd last element up unchanged.
     """
-    while m.shape[-1] > 1:
+    for _ in range(levels):
         n = m.shape[-1]
+        if n == 1:
+            break
         even = n - (n % 2)
         paired = _qmul(m[..., 1:even:2], m[..., 0:even:2])
         if n % 2:
             paired = np.concatenate([paired, m[..., -1:]], axis=-1)
         m = paired
-    return m[..., 0]
+    return m
+
+
+def _tree_product(m: np.ndarray) -> np.ndarray:
+    """Ordered product m_n ... m_1 along the last axis of complex pairs,
+    shape (2, ..., n) -> (2, ...), by one pairwise tree."""
+    return _tree_levels(m, m.shape[-1])[..., 0]
 
 
 def _propagate(steps, n: int, dt: float) -> np.ndarray:
@@ -128,23 +143,31 @@ def _propagate(steps, n: int, dt: float) -> np.ndarray:
     times t_k = (k + 1/2) dt, where steps(t) returns the complex pairs
     (a, b), each of shape (2, len(t)), for an array t of step times.
 
-    The steps are built and reduced BLOCK at a time, so the working set stays
-    the same at any step count; the block products then go through the same
-    pairwise tree. Every full block is an exact subtree of the tree over all
-    n steps (see BLOCK), so the blocking does not change the order of any
-    product. A non-finite step poisons its block's product, so the check
-    runs on that product and only searches the block's steps when it fails.
+    The steps are built BLOCK at a time, and each block is reduced by the
+    first BLOCK_LEVELS levels of the pairwise tree over all n steps. One
+    tree then finishes the nodes of 2 ** BLOCK_LEVELS blocks at a time,
+    which fill one block's worth of pairs, and a last tree multiplies those
+    group products; so the working set stays the same at any step count,
+    and the small last levels of the tree, whose cost is per call, run once
+    per group and not once per block. Every full block and every full group
+    is an exact subtree of the tree over all n steps (see BLOCK), so the
+    blocking does not change the order of any product. A non-finite step
+    poisons the node above it, so the check runs on a block's nodes and
+    only searches the block's steps when it fails.
     """
-    products = np.empty((2, 2, -(-n // BLOCK)), dtype=complex)
-    for j, start in enumerate(range(0, n, BLOCK)):
+    nodes, groups = [], []
+    for start in range(0, n, BLOCK):
         t = (np.arange(start, min(start + BLOCK, n)) + 0.5) * dt
         block = np.stack(steps(t), axis=1)
-        products[..., j] = _tree_product(block)
-        if not np.all(np.isfinite(products[..., j])):
+        nodes.append(_tree_levels(block, BLOCK_LEVELS))
+        if not np.all(np.isfinite(nodes[-1])):
             k = int(np.argmin(np.isfinite(block).all(axis=(0, 1))))
             raise ValueError(f"drive is not finite at step time t = {float(t[k]):.6g} "
                              f"(step {start + k} of {n})")
-    m = _tree_product(products)[..., None]
+        if len(nodes) == 2 ** BLOCK_LEVELS or start + BLOCK >= n:
+            groups.append(_tree_product(np.concatenate(nodes, axis=-1)))
+            nodes = []
+    m = _tree_product(np.stack(groups, axis=-1))[..., None]
     # Column j of M is A e_j conj(B) for the basis quaternions e_j.
     big_m = _unpair(_qmul(_qmul(m[:, 0], _BASIS), _conj(m[:, 1]))).T
     return _Q[:, None] * big_m * _Q.conj()[None, :]

@@ -413,6 +413,19 @@ def test_analytic_delta_nan_for_varying_radius():
     assert res.delta_std > 0.0
 
 
+def test_first_order_ensembles_start_no_pool(monkeypatch):
+    # Both first-order routes, the direct sampler (2000 intervals) and the
+    # interval engine (tau 0.01), run in a plain loop at any THREADS.
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a first-order ensemble started a thread pool")
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setenv("THREADS", "2")
+    for tau in (1.0, 0.01):
+        spec = NoiseSpec.uniform(0.01, tau, seed=2)
+        assert mc_delta(EQUATOR, spec, 0.05, 8, "first_order").delta_std > 0.0
+
+
 def test_threads_env_parsing(monkeypatch):
     monkeypatch.delenv("THREADS", raising=False)
     assert threads_from_env() is None

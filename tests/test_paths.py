@@ -7,6 +7,7 @@ from tripodholo import (
     NoiseSpec,
     Profile,
     arc_length,
+    evolve_lab,
     fourier_path,
     latitude_loop,
     lune_path,
@@ -228,6 +229,9 @@ def test_perturb_rejects_a_misshaped_realization():
     grid = np.linspace(0.0, 10.0, 11)
     with pytest.raises(ValueError, match=r"must have shape \(len\(grid\), 3\)"):
         perturb(latitude_loop(1.0), FakeRealization(grid, np.zeros((10, 3))))
+    for grid in (np.linspace(0.0, 10.0, 3), np.array([0.0, 2.0, 1.0, 5.0, 10.0])):
+        with pytest.raises(ValueError, match="at least 4 increasing times"):
+            perturb(latitude_loop(1.0), FakeRealization(grid, np.zeros((grid.size, 3))))
 
 
 def test_perturb_rejects_non_finite_realizations():
@@ -243,6 +247,53 @@ def test_perturb_rejects_non_finite_realizations():
     dx[-1, 2] = np.inf
     with pytest.raises(ValueError, match="realization dx is not finite at t = 10$"):
         perturb(path, FakeRealization(grid, dx))
+
+
+def test_perturb_names_a_non_finite_knot_off_the_check_grid():
+    # theta is NaN at s = 0.0015 only, a knot of the realization grid but not
+    # of ControlPath's 1025-point check grid, so the path constructs, and only
+    # perturb's check of the knot values it fits sees the NaN.
+    grid = np.linspace(0.0, 10.0, 2001)
+    bad = grid[3] / grid[-1]
+    assert bad not in np.linspace(0.0, 1.0, 1025)
+    base = latitude_loop(1.0)
+    path = ControlPath(
+        theta=Profile(fn=lambda s: np.where(s == bad, np.nan, 1.0), dfn=np.zeros_like),
+        phi=base.phi,
+        radius=base.radius,
+    )
+    with pytest.raises(ValueError, match="theta profile is not finite at s = 0.0015$"):
+        perturb(path, FakeRealization(grid, np.zeros((grid.size, 3))))
+
+
+@pytest.mark.parametrize("pinning", ["endpoint-ramp", "exact-bridge"])
+@pytest.mark.parametrize("base", ["lune", "fourier"])
+def test_perturb_fit_equals_scipy_cubic_splines(base, pinning):
+    # perturb fits its not-a-knot spline directly; scipy's CubicSpline, one
+    # scalar fit per profile, gives the same values, derivatives and
+    # propagator to the bit.
+    path = {
+        "lune": lune_path(2.0, 0.3),
+        "fourier": fourier_path(
+            Harmonics(offset=1.2, sin=(0.25,)),
+            Harmonics(offset=0.0, slope=2 * np.pi, sin=(0.2,)),
+            Harmonics(offset=1.0, slope=0.5),
+        ),
+    }[base]
+    eps = 0.02
+    grid = np.linspace(0.0, 1.0 / eps, 2001)
+    spec = NoiseSpec.uniform(0.01, 0.5, pinning=pinning, seed=17)
+    real = sample_realization(spec, grid, 3)
+    pp = perturb(path, real)
+    s = grid / grid[-1]
+    fits = spherical_splines(path.x(s) + real.dx, s)
+    probes = np.random.default_rng(6).uniform(0.0, 1.0, 1000)
+    for profile, fit in zip((pp.theta, pp.phi, pp.radius), fits):
+        assert np.array_equal(profile(probes), fit(probes))
+        assert np.array_equal(profile.derivative(probes), fit.derivative()(probes))
+    reference = ControlPath(*(Profile(fn=fit, dfn=fit.derivative()) for fit in fits))
+    assert np.array_equal(evolve_lab(pp, eps, steps_per_unit_time=40),
+                          evolve_lab(reference, eps, steps_per_unit_time=40))
 
 
 def test_perturb_profiles_equal_three_scalar_splines():

@@ -195,6 +195,21 @@ def test_blocking_does_not_change_a_bit(monkeypatch):
                               expected)
 
 
+@pytest.mark.parametrize("levels", [0, 2, 9])
+def test_block_levels_do_not_change_a_bit(monkeypatch, levels):
+    # 10 500 steps in 164 blocks of 64 and a partial block of 4, each reduced
+    # by `levels` tree levels and finished in groups of 2 ** levels blocks:
+    # one block per group, 41 full groups and a partial one, or all blocks
+    # in one group, each reduced to its product.
+    routes = (evolve_lab, evolve_moving)
+    default = [route(GENERIC_FOURIER, 0.002, steps_per_unit_time=21) for route in routes]
+    monkeypatch.setattr(propagator, "BLOCK", 64)
+    monkeypatch.setattr(propagator, "BLOCK_LEVELS", levels)
+    for route, expected in zip(routes, default):
+        assert np.array_equal(route(GENERIC_FOURIER, 0.002, steps_per_unit_time=21),
+                              expected)
+
+
 def test_propagation_memory_does_not_grow_with_the_step_count():
     def traced_peak(route, steps):
         # GENERIC_FOURIER takes 20 steps per unit time.

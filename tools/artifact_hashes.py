@@ -10,8 +10,9 @@ its stdout, its stderr, its exit code and every file it wrote except
 covers all six subcommands: the 36 ``Gate`` benchmark inputs at seed 1234,
 ``holonomy`` on a lune and a fourier path, ``noise-mc`` on each of its four
 routes (interval engine, direct sampler, exact-bridge pinning, full
-propagation), the three fitted studies with ``scaling`` in both modes, and
-runs that exit 2 or 3.
+propagation, the last on latitude loops, a lune and a fourier path), the
+three fitted studies with ``scaling`` in both modes, and runs that exit 2
+or 3.
 
 ``--base REV`` exports REV with ``bench_pairs.export_revision``, hashes the
 same configs against its ``src/`` and against this checkout's, each in its
@@ -73,6 +74,14 @@ def configs() -> dict[str, tuple[str, str]]:
             "sigma = 0.01\ntau = 0.5")),
         "noise-mc-full-bridge": ("noise-mc", _ini(
             SIXTY, "n = 100\nmode = full_propagation\nseed = 9", "epsilon = 0.05",
+            "sigma = 0.01\ntau = 0.5\npinning = exact-bridge")),
+        "noise-mc-full-lune": ("noise-mc", _ini(
+            "family = lune\ndphi = 2.0\ndelta = 0.3",
+            "n = 100\nmode = full_propagation\nseed = 11", "epsilon = 0.02",
+            "sigma = 0.01\ntau = 0.5")),
+        "noise-mc-full-fourier": ("noise-mc", _ini(
+            "family = fourier\ntheta_offset = 1.2\ntheta_sin = 0.25\nphi_sin = 0.2\n"
+            "r_slope = 0.5", "n = 100\nmode = full_propagation\nseed = 12", "epsilon = 0.02",
             "sigma = 0.01\ntau = 0.5\npinning = exact-bridge")),
         "noise-mc-excluded": ("noise-mc", _ini(
             "family = latitude\ntheta0 = 1.0", "n = 100\nmode = full_propagation",
