@@ -537,9 +537,11 @@ def run(config: RunConfig) -> int:
 
     results["checks"] = [{"name": name, "passed": bool(ok)} for name, ok in checks]
     _write_json(out / "summary.json", summary)
+    import scipy
     _write_json(out / "run_meta.json", {
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
         "numpy_version": np.__version__,
+        "scipy_version": scipy.__version__,
     })
     report += [f"{name}: {'PASS' if ok else 'FAIL'}" for name, ok in checks]
     print("\n".join(report))

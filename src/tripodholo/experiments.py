@@ -13,7 +13,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from . import holonomy, noise, paths, propagator
 
@@ -177,6 +176,8 @@ class _IntervalEngine:
         return nodes, blocks
 
     def __call__(self, index: int) -> float:
+        from scipy.signal import lfilter
+
         total = 0.0
         for axis, blocks, a, innov, node_w, res_w in self.axes:
             rng = np.random.default_rng([self.spec.seed, index, axis])

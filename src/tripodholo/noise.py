@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 PINNING_MODES = ("none", "endpoint-ramp", "exact-bridge")
 #: Endpoint ramps span this many correlation times.
@@ -66,6 +65,12 @@ class NoiseRealization:
 
     grid: np.ndarray
     dx: np.ndarray
+
+
+def lfilter(b, a, x):
+    """scipy.signal.lfilter, imported at the first noise draw."""
+    from scipy import signal
+    return signal.lfilter(b, a, x)
 
 
 def sample_realization(spec: NoiseSpec, grid, index: int) -> NoiseRealization:

@@ -9,13 +9,14 @@ must close, x^(0) = x^(1); the norm r may end anywhere positive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy.interpolate import PPoly
-from scipy.linalg import solve_banded
 
 from . import tripod
+
+if TYPE_CHECKING:
+    from scipy.interpolate import PPoly
 
 _CLOSURE_TOL = 1e-10
 
@@ -277,6 +278,8 @@ def _not_a_knot(s: np.ndarray, y: np.ndarray) -> np.ndarray:
     interval. Each row is handled alone, so the result equals
     CubicSpline(s, y.T).c, and that of a scalar fit per row, to the bit.
     """
+    from scipy.linalg import solve_banded
+
     n = s.size
     h = np.diff(s)
     slope = np.diff(y, axis=1) / h
@@ -322,6 +325,8 @@ def perturb(path: ControlPath, realization) -> ControlPath:
     construction; perturbations that drive the curve near the origin
     (|x'| < 0.1 min r) are rejected because the spectral gap would collapse.
     """
+    from scipy.interpolate import PPoly
+
     t = np.asarray(realization.grid, dtype=float)
     dx = np.asarray(realization.dx, dtype=float)
     if dx.shape != (t.size, 3):

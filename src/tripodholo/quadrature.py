@@ -8,7 +8,6 @@ copy of their native grid, which matches the spline's own accuracy.
 from __future__ import annotations
 
 import numpy as np
-from scipy import integrate
 
 
 def integrate_path(path, f):
@@ -18,6 +17,8 @@ def integrate_path(path, f):
     sharing one evaluation; the result is a float or a (k,) array. Raises
     ValueError when cubature does not converge or the result is not finite.
     """
+    from scipy import integrate
+
     if path.grid is not None:
         s = _refine(path.grid)
         val = integrate.simpson(f(s), x=s)

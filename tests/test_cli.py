@@ -178,6 +178,8 @@ def test_gate_run_artifacts(tmp_path, monkeypatch):
     assert np.allclose(rows[:, 6], config.r0, rtol=0.0, atol=1e-15)
     meta = json.loads((tmp_path / "gate" / "run_meta.json").read_text())
     assert "timestamp_utc" in meta
+    assert isinstance(meta["numpy_version"], str) and meta["numpy_version"]
+    assert isinstance(meta["scipy_version"], str) and meta["scipy_version"]
     assert "timestamp_utc" not in json.dumps(summary)
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import signal
 
 from tripodholo import (
     NoiseSpec,
@@ -7,6 +8,7 @@ from tripodholo import (
     sample_realization,
     scaling_params,
 )
+from tripodholo import noise
 from tripodholo.noise import RAMP_WIDTH_TAUS
 
 SIGMA, TAU = 0.05, 0.5
@@ -224,3 +226,27 @@ def test_scaling_params():
         scaling_params(0.5, 0.5, 0.5, 0.0, 1.0)
     with pytest.raises(ValueError, match="sigma0 must be nonnegative"):
         scaling_params(0.5, 0.5, 0.5, 1.0, -0.1)
+
+
+@pytest.mark.parametrize("pinning", ["none", "endpoint-ramp", "exact-bridge"])
+def test_each_driven_axis_filters_through_the_module_lfilter(monkeypatch, pinning):
+    # Layer tracing wraps noise.lfilter; a draw that bypassed it would make
+    # that span read 0.
+    original = noise.lfilter
+    calls = []
+
+    def counting(b, a, x):
+        out = original(b, a, x)
+        calls.append((b, a, x.copy(), out))
+        return out
+
+    monkeypatch.setattr(noise, "lfilter", counting)
+    spec = NoiseSpec(sigma=(SIGMA, 0.0, 2 * SIGMA), tau=TAU, pinning=pinning, seed=5)
+    real = sample_realization(spec, np.linspace(0.0, 10.0, 401), 3)
+    assert len(calls) == 2
+    for b, a, x, out in calls:
+        assert np.array_equal(out, signal.lfilter(b, a, x))
+    assert not real.dx[:, 1].any()
+    if pinning == "none":
+        assert np.array_equal(real.dx[:, 0], calls[0][3])
+        assert np.array_equal(real.dx[:, 2], calls[1][3])
