@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 config error, 3 numerical-contract violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -537,15 +538,23 @@ def run(config: RunConfig) -> int:
 
     results["checks"] = [{"name": name, "passed": bool(ok)} for name, ok in checks]
     _write_json(out / "summary.json", summary)
-    import scipy
     _write_json(out / "run_meta.json", {
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
         "numpy_version": np.__version__,
-        "scipy_version": scipy.__version__,
+        "scipy_version": _scipy_version(),
     })
     report += [f"{name}: {'PASS' if ok else 'FAIL'}" for name, ok in checks]
     print("\n".join(report))
     return 0 if all(ok for _, ok in checks) else 3
+
+
+@functools.cache
+def _scipy_version() -> str:
+    """The installed scipy's version, read from its package metadata so that
+    a run which never needed scipy does not import it."""
+    from importlib import metadata
+
+    return metadata.version("scipy")
 
 
 def main(argv=None) -> int:

@@ -31,21 +31,21 @@ def test_import_loads_no_scipy():
 
 
 def test_noiseless_gate_run_loads_no_noise_or_spline_scipy(tmp_path):
+    # Nor any other scipy module: noiseless gate and holonomy runs need none.
     config = tmp_path / "gate.ini"
     config.write_text("[path]\nfamily = latitude\ntheta0 = 1.0471975511965976\n\n"
                       "[propagation]\nepsilon = 0.05\n")
-    out = run_python(f"""
-        import contextlib, io, json, sys
-        from tripodholo import cli
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(["gate", "--config", {str(config)!r},
-                             "--out", {str(tmp_path / "out")!r}])
-        print(json.dumps([code, sorted(sys.modules)]))
-    """)
-    code, modules = json.loads(out)
-    assert code == 0
-    for name in ("scipy.signal", "scipy.stats", "scipy.interpolate"):
-        assert name not in modules
+    for subcommand in ("gate", "holonomy"):
+        out = run_python(f"""
+            import contextlib, io, json, sys
+            from tripodholo import cli
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main([{subcommand!r}, "--config", {str(config)!r},
+                                 "--out", {str(tmp_path / subcommand)!r}])
+            print(json.dumps([code, sorted(m for m in sys.modules
+                                           if m == "scipy" or m.startswith("scipy."))]))
+        """)
+        assert json.loads(out) == [0, []], subcommand
 
 
 def test_first_scipy_signal_import_on_pool_threads_keeps_every_bit():
