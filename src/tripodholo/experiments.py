@@ -82,7 +82,8 @@ def _mc_intervals(path: paths.ControlPath, spec: noise.NoiseSpec, period: float)
     correlation and the drive.
 
     A whole number held as a float: a tiny tau makes it too large for any
-    grid, or infinite, so callers compare it with MAX_STEPS first.
+    grid, or infinite, so _mc_grid compares it with MAX_STEPS first and
+    _IntervalEngine caps it at COARSE_SEGMENTS.
     """
     dense = np.linspace(0.0, 1.0, 257)
     r_max = float(np.max(path.radius(dense)))
@@ -108,7 +109,7 @@ def _mc_grid(path: paths.ControlPath, spec: noise.NoiseSpec, period: float) -> n
 
 
 class _IntervalEngine:
-    """Exact sampler of the first-order angle error for long dense grids.
+    """Exact sampler of the first-order angle error, for every pinning.
 
     The error is a linear functional int K(t) . dx(t) dt of the correlated
     noise. For each axis the chain values at a coarse node set and the exact
@@ -120,23 +121,31 @@ class _IntervalEngine:
 
     g = (1 - a)/lam, independently across segments by the Markov property.
     Sampling those instead of a tau/10-resolved path gives the identical
-    distribution at a fraction of the draws; the only approximation is the
-    kernel (and taper) frozen at segment midpoints, refined to tau/2 inside
-    the taper windows. Streams stay keyed by (seed, index, axis).
+    distribution at a fraction of the draws, at any tau; the only
+    approximation is the kernel (and taper) frozen at segment midpoints,
+    refined to tau/2 inside the taper windows. Streams stay keyed by (seed,
+    index, axis).
+
+    The exact bridge starts its chain at zero and conditions it on x_m = 0
+    at the last node m: x_k - x_m w_k, w_k = cov(x_k, x_m) / var(x_m), as in
+    noise.sample_realization. The residuals given the nodes do not change,
+    so the projection folds into the last node's weight.
     """
 
-    #: Target interior segment count (kernel varies on the drive scale).
+    #: Largest interior segment count (kernel varies on the drive scale);
+    #: a run whose _mc_intervals is smaller takes that many.
     COARSE_SEGMENTS = 4000
 
     def __init__(self, path: paths.ControlPath, spec: noise.NoiseSpec,
                  period: float):
         self.spec = spec
         self.axes = []
+        n_coarse = int(min(self.COARSE_SEGMENTS, _mc_intervals(path, spec, period)))
         for axis in range(3):
             sigma, tau = spec.sigma[axis], spec.tau[axis]
             if sigma == 0.0:
                 continue
-            nodes, blocks = self._nodes(period, tau, spec.pinning)
+            nodes, blocks = self._nodes(period, tau, spec.pinning, n_coarse)
             seg_dt = np.diff(nodes)
             lam = 2.0 / tau
             a = np.exp(-lam * seg_dt)
@@ -154,13 +163,21 @@ class _IntervalEngine:
             node_w[1:] += kern * beta
             res_w = kern * sigma * np.sqrt(np.maximum(var_y, 0.0))
             innov = np.empty(nodes.size)
-            innov[0] = sigma
+            # The bridge starts at zero, the other chains stationary.
+            innov[0] = 0.0 if spec.pinning == "exact-bridge" else sigma
             innov[1:] = sigma * np.sqrt(1.0 - a * a)
+            if spec.pinning == "exact-bridge":
+                # The nodes are uniform, so one a serves, and weight_m = 1:
+                # node_w . (x - x_m weight) weighs x_m by
+                # -node_w[:-1] . weight[:-1].
+                m = seg_dt.size
+                k = np.arange(m + 1)
+                weight = (a[0] ** (m - k) - a[0] ** (m + k)) / (1.0 - a[0] ** (2 * m))
+                node_w[-1] = -(node_w[:-1] @ weight[:-1])
             self.axes.append((axis, blocks, a, innov, node_w, res_w))
 
     @staticmethod
-    def _nodes(period: float, tau: float, pinning: str):
-        n_coarse = _IntervalEngine.COARSE_SEGMENTS
+    def _nodes(period: float, tau: float, pinning: str, n_coarse: int):
         if pinning == "endpoint-ramp":
             width = min(noise.RAMP_WIDTH_TAUS * tau, 0.25 * period)
             n_fine = max(10, int(np.ceil(width / (0.5 * tau))))
@@ -208,9 +225,10 @@ def mc_delta(path: paths.ControlPath, spec: noise.NoiseSpec, epsilon: float,
     drive the curve near the origin, with NaN delta and leakage. Raises
     ExcludedRealizationsError when fewer than two stay in.
 
-    A first-order ensemble runs in a plain loop: each realization is a few
-    short numpy calls, so worker threads would only wait on each other. A
-    full-propagation ensemble runs on THREADS worker threads, or on
+    A first-order ensemble samples every pinning with _IntervalEngine,
+    which builds no dense noise grid, in a plain loop: each realization is a
+    few short numpy calls, so worker threads would only wait on each other.
+    A full-propagation ensemble runs on THREADS worker threads, or on
     min(8, cpu count) when THREADS is unset. THREADS is validated in both
     modes, and the result is the same at any count.
     """
@@ -224,34 +242,17 @@ def mc_delta(path: paths.ControlPath, spec: noise.NoiseSpec, epsilon: float,
     propagator._check_epsilon(epsilon)
     n_workers = threads_from_env() or min(8, os.cpu_count() or 1)
     period = 1.0 / float(epsilon)
-    n_intervals = _mc_intervals(path, spec, period)
-    if mode == "full_propagation":
+    if mode == "first_order":
+        engine = _IntervalEngine(path, spec, period)
+
+        def one(idx: int) -> tuple[float, float]:
+            return engine(idx), 0.0
+    else:
         # Rejects an oversized ensemble, an infinite density too, before its
         # grid or noise exists.
-        spu = np.ceil(n_intervals / period)
+        spu = np.ceil(_mc_intervals(path, spec, period) / period)
         propagator._effective_steps(path, float(epsilon), spu)
         spu = int(spu)
-    if mode == "first_order":
-        # The interval engine never reads the dense grid, so only the direct
-        # sampler builds it.
-        if n_intervals > 6000 and spec.pinning != "exact-bridge":
-            engine = _IntervalEngine(path, spec, period)
-
-            def one(idx: int) -> tuple[float, float]:
-                return engine(idx), 0.0
-        else:
-            grid = _mc_grid(path, spec, period)
-            kernel = holonomy.angle_response_kernel(path, grid / period) / period
-            weights = np.empty(grid.size)
-            dt = grid[1] - grid[0]
-            weights[:] = dt
-            weights[0] = weights[-1] = 0.5 * dt
-            wkernel = kernel * weights[:, None]
-
-            def one(idx: int) -> tuple[float, float]:
-                real = noise.sample_realization(spec, grid, idx)
-                return float(np.einsum("ki,ki->", wkernel, real.dx)), 0.0
-    else:
         grid = _mc_grid(path, spec, period)
         omega_ref = holonomy.solid_angle(path).omega_canonical
 

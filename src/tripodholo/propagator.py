@@ -47,8 +47,7 @@ STEPS_PER_UNIT_TIME = 20
 #: count (1.6-2.2 MB traced peak in the lab frame, 2.5-3.1 MB in the moving
 #: frame, from 4e4 steps to this cap). The cap bounds its run time instead,
 #: about 1.7 s (lab) and 3.1 s (moving) on a 2-core Xeon, and the dense noise
-#: grid that mc_delta builds whole for full propagation and for the direct
-#: first-order sampler.
+#: grid that mc_delta builds whole for full propagation.
 MAX_STEPS = 2 ** 23
 
 #: Steps built and reduced at a time, so that a block's steps and its tree

@@ -425,14 +425,14 @@ _REPORTS = {
     "noise-mc": (MINIMAL_GATE.replace("[experiment]", "[noise]\nsigma = 0.02\n"
                                       "tau = 0.1\n\n[experiment]") + "n = 150\nseed = 12\n", [
         "subcommand: noise-mc",
-        "delta_std: 0.00706866 +- 0.00041   analytic: 0.0076953",
+        "delta_std: 0.00701466 +- 0.0004   analytic: 0.0076953",
         "Monte Carlo Delta within 3 standard errors of the analytic value: PASS",
     ]),
     "scaling": (MINIMAL_GATE.replace(_SIXTY, "theta0 = 1.5707963267948966")
                 + "n = 150\nepsilon_min = 0.005\nepsilon_max = 0.1\n"
                   "points_per_decade = 3\nseed = 4\n", [
         "subcommand: scaling",
-        "exponent: 1.208 +- 0.023 (predicted 1.25)",
+        "exponent: 1.203 +- 0.031 (predicted 1.25)",
         "fitted exponent within 0.15 of predicted: PASS",
     ]),
     "timing": (MINIMAL_GATE + "delta_t = 1.0\nt0_grid = 100, 200, 400\n", [
@@ -508,9 +508,8 @@ def test_full_propagation_noise_mc_step_ceiling_is_a_config_error(
 
 def test_exact_bridge_noise_grid_past_the_ceiling_is_a_config_error(
         tmp_path, capsys, monkeypatch):
-    # The direct first-order sampler builds the whole exact-bridge noise
-    # grid: 200 000 intervals at tau = 1e-3 and epsilon 0.05, here above a
-    # lowered ceiling.
+    # Full propagation builds the whole exact-bridge noise grid: 200 000
+    # intervals at tau = 1e-3 and epsilon 0.05, here above a lowered ceiling.
     def no_noise(*args, **kwargs):
         raise AssertionError("noise was drawn")
 
@@ -518,27 +517,33 @@ def test_exact_bridge_noise_grid_past_the_ceiling_is_a_config_error(
     monkeypatch.setattr(noise, "sample_realization", no_noise)
     cfg = tmp_path / "cfg.ini"
     text = MINIMAL_GATE.replace("subcommand = gate", "subcommand = noise-mc")
-    cfg.write_text(text + "mode = first_order\nn = 100\n\n[noise]\nsigma = 0.01\n"
+    cfg.write_text(text + "mode = full_propagation\nn = 100\n\n[noise]\nsigma = 0.01\n"
                    "tau = 0.001\npinning = exact-bridge\n", encoding="utf-8")
     assert cli.main(["noise-mc", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert "200000 noise grid intervals exceed" in capsys.readouterr().err
+    assert "200000 time steps exceed" in capsys.readouterr().err
 
 
 def test_noise_mc_with_a_tiny_tau_runs(tmp_path):
-    cfg = tmp_path / "cfg.ini"
+    # First order samples every pinning with the interval engine, which
+    # needs no grid of 200/tau intervals.
     text = MINIMAL_GATE.replace("subcommand = gate", "subcommand = noise-mc")
-    cfg.write_text(text + "n = 100\n\n[noise]\nsigma = 0.01\ntau = 1e-160\n",
-                   encoding="utf-8")
-    assert cli.main(["noise-mc", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    for pinning in noise.PINNING_MODES:
+        cfg = tmp_path / f"{pinning}.ini"
+        cfg.write_text(text + "n = 100\n\n[noise]\nsigma = 0.01\ntau = 1e-160\n"
+                       f"pinning = {pinning}\n", encoding="utf-8")
+        out = tmp_path / pinning
+        assert cli.main(["noise-mc", "--config", str(cfg), "--out", str(out)]) == 0, pinning
 
 
 def test_exact_bridge_with_a_tiny_tau_names_the_interval_count(tmp_path, capsys):
+    # First order runs at this tau (above); full propagation would need a
+    # grid of 200/tau intervals and names their count.
     cfg = tmp_path / "cfg.ini"
     text = MINIMAL_GATE.replace("subcommand = gate", "subcommand = noise-mc")
-    cfg.write_text(text + "n = 100\n\n[noise]\nsigma = 0.01\ntau = 1e-160\n"
-                   "pinning = exact-bridge\n", encoding="utf-8")
+    cfg.write_text(text + "mode = full_propagation\nn = 100\n\n[noise]\nsigma = 0.01\n"
+                   "tau = 1e-160\npinning = exact-bridge\n", encoding="utf-8")
     assert cli.main(["noise-mc", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert "2e+162 noise grid intervals exceed" in capsys.readouterr().err
+    assert "2e+162 time steps exceed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("subcommand, old, new, key", [

@@ -83,41 +83,30 @@ def test_mc_deterministic_across_workers(monkeypatch):
     assert np.array_equal(a.deltas, b.deltas)
 
 
-def test_mc_direct_route_equals_public_formula():
-    # The short-grid path is literally the public first-order quadrature.
-    from tripodholo import delta_omega_first_order, sample_realization
-
-    spec = NoiseSpec.uniform(0.04, 0.5, seed=9)
-    eps = 0.05
-    res = mc_delta(EQUATOR, spec, eps, 16, "first_order")
-    grid = _mc_grid(EQUATOR, spec, 1.0 / eps)
-    assert grid.size <= 6001
-    for idx in (0, 5, 11):
-        real = sample_realization(spec, grid, idx)
-        direct = delta_omega_first_order(EQUATOR, real.dx, grid)
-        assert res.deltas[idx] == pytest.approx(direct, rel=1e-10)
-
-
 def test_interval_engine_matches_direct_distribution():
-    # tau small enough that mc_delta would pick the fast engine; compare its
-    # ensemble spread against the dense per-realization route.
-    spec = NoiseSpec.uniform(0.05, 0.05, seed=42)
-    period = 50.0
-    engine = _IntervalEngine(EQUATOR, spec, period)
-    fast = np.array([engine(i) for i in range(1500)])
-    grid = _mc_grid(EQUATOR, spec, period)
-    s = grid / period
-    kern = holonomy.angle_response_kernel(EQUATOR, s) / period
-    dt = grid[1] - grid[0]
-    w = np.full(grid.size, dt)
-    w[0] = w[-1] = 0.5 * dt
-    wk = kern * w[:, None]
-    direct = np.array([
-        float(np.einsum("ki,ki->", wk, noise_mod.sample_realization(spec, grid, i).dx))
-        for i in range(700)])
-    ratio = fast.std(ddof=1) / direct.std(ddof=1)
-    assert abs(ratio - 1.0) < 0.08
-    assert abs(fast.mean()) < 4.0 * fast.std() / np.sqrt(fast.size)
+    # mc_delta samples every pinning with the interval engine; compare its
+    # ensemble spread against the dense per-realization route, 2000 intervals
+    # at tau 1 and, for the bridge, 20 000 at tau 0.01, within 3 combined
+    # standard errors. Only z enters the equator's kernel.
+    period = 20.0
+    n = 2000
+    for pinning, tau in (("none", 1.0), ("endpoint-ramp", 1.0), ("exact-bridge", 0.01)):
+        spec = NoiseSpec(sigma=(0.0, 0.0, 0.01), tau=tau, pinning=pinning, seed=42)
+        engine = _IntervalEngine(EQUATOR, spec, period)
+        fast = np.array([engine(i) for i in range(n)])
+        grid = _mc_grid(EQUATOR, spec, period)
+        kern = holonomy.angle_response_kernel(EQUATOR, grid / period) / period
+        dt = grid[1] - grid[0]
+        w = np.full(grid.size, dt)
+        w[0] = w[-1] = 0.5 * dt
+        wk = kern * w[:, None]
+        direct = np.array([
+            float(np.einsum("ki,ki->", wk, noise_mod.sample_realization(spec, grid, i).dx))
+            for i in range(n)])
+        std_errors = [x.std(ddof=1) / np.sqrt(2.0 * n) for x in (fast, direct)]
+        assert (abs(fast.std(ddof=1) - direct.std(ddof=1))
+                <= 3.0 * np.hypot(*std_errors)), pinning
+        assert abs(fast.mean()) < 4.0 * fast.std() / np.sqrt(n), pinning
 
 
 def test_gap_frequency_perturbation_escapes_first_order_theory():
@@ -271,19 +260,38 @@ def test_fewer_than_two_realizations_are_rejected_by_name():
 
 
 def test_direct_sampler_grid_past_the_ceiling_is_rejected_before_allocation(monkeypatch):
-    # Exact-bridge noise always takes the direct sampler, which builds the
-    # whole noise grid: tau = 1e-3 at epsilon 0.05 asks for 200 000
-    # intervals, here above a lowered ceiling.
+    # Full propagation draws exact-bridge noise with the direct sampler on
+    # the whole dense grid: tau = 1e-3 at epsilon 0.05 asks for 200 000
+    # steps, here above a lowered ceiling.
     def nothing(*args, **kwargs):
-        raise AssertionError("noise was drawn")
+        raise AssertionError("a noise grid was built or noise drawn on it")
 
     monkeypatch.setattr(propagator, "MAX_STEPS", 4096)
     monkeypatch.setattr(noise_mod, "sample_realization", nothing)
+    monkeypatch.setattr(experiments, "_mc_grid", nothing)
     spec = NoiseSpec.uniform(0.01, 1e-3, pinning="exact-bridge", seed=0)
     with pytest.raises(propagator.StepLimitError,
-                       match="200000 noise grid intervals exceed the limit of "
+                       match="200000 time steps exceed the limit of "
                              "MAX_STEPS = 4096"):
-        mc_delta(EQUATOR, spec, 0.05, 4, "first_order")
+        mc_delta(EQUATOR, spec, 0.05, 4, "full_propagation")
+
+
+@pytest.mark.parametrize("tau", [1.0, 1e-3])
+@pytest.mark.parametrize("pinning", noise_mod.PINNING_MODES)
+def test_first_order_builds_no_noise_grid_at_any_pinning(monkeypatch, pinning, tau):
+    # First order has one sampler, the interval engine, which neither builds
+    # the dense noise grid nor draws on it. At tau 1e-3 and epsilon 0.05 that
+    # grid would hold 200 000 intervals, here above a lowered ceiling.
+    def nothing(*args, **kwargs):
+        raise AssertionError("a noise grid was built or noise drawn on it")
+
+    monkeypatch.setattr(propagator, "MAX_STEPS", 4096)
+    monkeypatch.setattr(noise_mod, "sample_realization", nothing)
+    monkeypatch.setattr(experiments, "_mc_grid", nothing)
+    spec = NoiseSpec.uniform(0.01, tau, pinning=pinning, seed=0)
+    res = mc_delta(EQUATOR, spec, 0.05, 4, "first_order")
+    assert np.all(np.isfinite(res.deltas))
+    assert res.delta_std > 0.0
 
 
 @pytest.mark.parametrize("epsilon", [0.0, -0.05, float("nan"), float("inf")])
@@ -313,7 +321,7 @@ def test_scaling_grid_is_checked_before_the_first_ensemble(monkeypatch):
                       mode="first_order")
 
 
-@pytest.mark.parametrize("pinning", ["none", "endpoint-ramp"])
+@pytest.mark.parametrize("pinning", ["none", "endpoint-ramp", "exact-bridge"])
 def test_interval_engine_spread_scales_as_sqrt_tau_down_to_tiny_tau(pinning):
     # With tau far below the segment length the spread is sigma sqrt(tau)
     # times a constant; lam^2 = (2/tau)^2 used to overflow from tau ~ 1e-154.
@@ -347,7 +355,6 @@ def test_interval_engine_skips_an_undriven_axis(monkeypatch):
     # every axis enters the kernel, so the skipped axis would show.
     loop = latitude_loop(np.pi / 3)
     spec = NoiseSpec(sigma=(0.01, 0.0, 0.02), tau=0.05, seed=11)
-    assert experiments._mc_intervals(loop, spec, 50.0) > 6000
     runs = []
     for threads in ("1", "2"):
         monkeypatch.setenv("THREADS", threads)
@@ -362,14 +369,9 @@ def test_interval_engine_skips_an_undriven_axis(monkeypatch):
 @pytest.mark.parametrize("pinning", noise_mod.PINNING_MODES)
 def test_tiny_tau_runs_or_names_the_grid_size(pinning, tau):
     spec = NoiseSpec.uniform(0.01, tau, pinning=pinning, seed=0)
-    if pinning == "exact-bridge":
-        # The direct sampler's dense grid would need 200/tau intervals.
-        with pytest.raises(propagator.StepLimitError, match="noise grid intervals exceed"):
-            mc_delta(EQUATOR, spec, 0.05, 4, "first_order")
-    else:
-        res = mc_delta(EQUATOR, spec, 0.05, 4, "first_order")
-        assert np.all(np.isfinite(res.deltas))
-        assert res.delta_std > 0.0
+    res = mc_delta(EQUATOR, spec, 0.05, 4, "first_order")
+    assert np.all(np.isfinite(res.deltas))
+    assert res.delta_std > 0.0
     if pinning != "none":
         with pytest.raises(propagator.StepLimitError, match="time steps exceed"):
             mc_delta(EQUATOR, spec, 0.05, 4, "full_propagation")
@@ -414,8 +416,8 @@ def test_analytic_delta_nan_for_varying_radius():
 
 
 def test_first_order_ensembles_start_no_pool(monkeypatch):
-    # Both first-order routes, the direct sampler (2000 intervals) and the
-    # interval engine (tau 0.01), run in a plain loop at any THREADS.
+    # First-order ensembles, on a short grid (2000 intervals at tau 1) and a
+    # long one (tau 0.01), run in a plain loop at any THREADS.
     def no_pool(*args, **kwargs):
         raise AssertionError("a first-order ensemble started a thread pool")
 
@@ -488,12 +490,14 @@ def test_full_propagation_excludes_realizations_near_the_origin():
 
 def test_first_order_interval_engine_builds_no_dense_grid():
     # At epsilon 1e-4 and tau 0.1 the dense grid would hold 1e6 intervals
-    # (16 MB with s = grid / period); the interval engine reads neither.
-    spec = NoiseSpec.uniform(0.01, 0.1, seed=3)
-    tracemalloc.start()
-    try:
-        mc_delta(EQUATOR, spec, 1e-4, 4, "first_order")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 5e6
+    # (16 MB with s = grid / period); the interval engine reads neither, with
+    # the exact bridge too.
+    for pinning in ("endpoint-ramp", "exact-bridge"):
+        spec = NoiseSpec.uniform(0.01, 0.1, pinning=pinning, seed=3)
+        tracemalloc.start()
+        try:
+            mc_delta(EQUATOR, spec, 1e-4, 4, "first_order")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6, pinning

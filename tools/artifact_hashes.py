@@ -8,11 +8,12 @@ fresh directory, and one line ``<config>/<entry> <sha256>`` is printed for
 its stdout, its stderr, its exit code and every file it wrote except
 ``run_meta.json``, the one file allowed to differ between reruns. The set
 covers all six subcommands: the 36 ``Gate`` benchmark inputs at seed 1234,
-``holonomy`` on a lune and a fourier path, ``noise-mc`` on each of its four
-routes (interval engine, direct sampler, exact-bridge pinning, full
-propagation, the last on latitude loops, a lune and a fourier path), the
-three fitted studies with ``scaling`` in both modes, and runs that exit 2
-or 3.
+``holonomy`` on a lune and a fourier path, ``noise-mc`` on both of its
+routes (the interval engine in first order, for every pinning and down to
+tau 1e-160; full propagation on latitude loops, a lune and a fourier path),
+the three fitted studies with ``scaling`` in both modes, and runs that exit
+2 or 3. Two entry names keep ``direct`` from a dense first-order route that
+is gone, so that ``--base`` still pairs them with older revisions.
 
 ``--base REV`` exports REV with ``bench_pairs.export_revision``, hashes the
 same configs against its ``src/`` and against this checkout's, each in its
@@ -69,6 +70,9 @@ def configs() -> dict[str, tuple[str, str]]:
         "noise-mc-bridge": ("noise-mc", _ini(
             EQUATOR, "n = 200\nseed = 7", "epsilon = 0.05",
             "sigma = 0.01\ntau = 0.1\npinning = exact-bridge")),
+        "noise-mc-bridge-tiny-tau": ("noise-mc", _ini(
+            EQUATOR, "n = 100\nseed = 7", "epsilon = 0.05",
+            "sigma = 0.01\ntau = 1e-160\npinning = exact-bridge")),
         "noise-mc-full-ramp": ("noise-mc", _ini(
             SIXTY, "n = 100\nmode = full_propagation\nseed = 9", "epsilon = 0.05",
             "sigma = 0.01\ntau = 0.5")),
