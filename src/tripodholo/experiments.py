@@ -127,9 +127,16 @@ class _IntervalEngine:
     index, axis).
 
     The exact bridge starts its chain at zero and conditions it on x_m = 0
-    at the last node m: x_k - x_m w_k, w_k = cov(x_k, x_m) / var(x_m), as in
+    at the last node m: x_k - x_m w_k, with w = noise.bridge_weight, as in
     noise.sample_realization. The residuals given the nodes do not change,
     so the projection folds into the last node's weight.
+
+    The node chain x_k = a x_{k-1} + innov_k z_k (one a per block of equal
+    segments, see chains) is a lower-triangular map x = L (innov * z), so
+    node_w . x = g . z with g = innov * L^T node_w. The engine builds g once,
+    by the backward recursion h_k = node_w_k + a h_{k+1}, and a realization
+    is sum over axes of g . z + res_w . eta, on the draws z and eta of its
+    stream.
     """
 
     #: Largest interior segment count (kernel varies on the drive scale);
@@ -140,12 +147,29 @@ class _IntervalEngine:
                  period: float):
         self.spec = spec
         self.axes = []
-        n_coarse = int(min(self.COARSE_SEGMENTS, _mc_intervals(path, spec, period)))
+        for axis, blocks, innov, node_w, res_w in self.chains(path, spec, period):
+            h = node_w.copy()
+            end = h.size - 1
+            for n_seg, a_blk in reversed(blocks):
+                # h[end] is final; run the recursion backward over the block.
+                start = end - n_seg
+                h[start:end + 1] = noise.lfilter(
+                    [1.0], [1.0, -a_blk], h[start:end + 1][::-1])[::-1]
+                end = start
+            self.axes.append((axis, innov * h, res_w))
+
+    @classmethod
+    def chains(cls, path: paths.ControlPath, spec: noise.NoiseSpec, period: float):
+        """Per driven axis, the node chain and the weights of delta =
+        node_w . x + res_w . eta: (axis, blocks, innov, node_w, res_w), with
+        blocks a list of (segment count, a) in node order."""
+        out = []
+        n_coarse = int(min(cls.COARSE_SEGMENTS, _mc_intervals(path, spec, period)))
         for axis in range(3):
             sigma, tau = spec.sigma[axis], spec.tau[axis]
             if sigma == 0.0:
                 continue
-            nodes, blocks = self._nodes(period, tau, spec.pinning, n_coarse)
+            nodes, counts = cls._nodes(period, tau, spec.pinning, n_coarse)
             seg_dt = np.diff(nodes)
             lam = 2.0 / tau
             a = np.exp(-lam * seg_dt)
@@ -170,11 +194,13 @@ class _IntervalEngine:
                 # The nodes are uniform, so one a serves, and weight_m = 1:
                 # node_w . (x - x_m weight) weighs x_m by
                 # -node_w[:-1] . weight[:-1].
-                m = seg_dt.size
-                k = np.arange(m + 1)
-                weight = (a[0] ** (m - k) - a[0] ** (m + k)) / (1.0 - a[0] ** (2 * m))
+                weight = noise.bridge_weight(a[0], seg_dt.size)
                 node_w[-1] = -(node_w[:-1] @ weight[:-1])
-            self.axes.append((axis, blocks, a, innov, node_w, res_w))
+            # Each block's segments have equal length; its first a serves.
+            firsts = np.cumsum([0] + counts[:-1])
+            blocks = [(n_seg, float(a[first])) for n_seg, first in zip(counts, firsts)]
+            out.append((axis, blocks, innov, node_w, res_w))
+        return out
 
     @staticmethod
     def _nodes(period: float, tau: float, pinning: str, n_coarse: int):
@@ -193,23 +219,12 @@ class _IntervalEngine:
         return nodes, blocks
 
     def __call__(self, index: int) -> float:
-        from scipy.signal import lfilter
-
         total = 0.0
-        for axis, blocks, a, innov, node_w, res_w in self.axes:
+        for axis, g, res_w in self.axes:
             rng = np.random.default_rng([self.spec.seed, index, axis])
-            w = innov * rng.standard_normal(innov.size)
+            z = rng.standard_normal(g.size)
             eta = rng.standard_normal(res_w.size)
-            x = np.empty(innov.size)
-            x[0] = w[0]
-            pos = 0
-            for n_seg in blocks:
-                a_blk = float(a[pos])
-                x[pos + 1: pos + 1 + n_seg], _ = lfilter(
-                    [1.0], [1.0, -a_blk], w[pos + 1: pos + 1 + n_seg],
-                    zi=np.array([a_blk * x[pos]]))
-                pos += n_seg
-            total += float(node_w @ x + res_w @ eta)
+            total += float(g @ z + res_w @ eta)
         return total
 
 

@@ -4,8 +4,10 @@ These deliberately avoid the library's own routes: brute-force series
 exponentials, dense-grid quadrature, the Hamilton product written term by
 term, and the tripod steps as closed-form 4x4 complex matrices
 (step_matrices), which the library itself only ever builds as quaternions,
-and a perturbed path's profiles as three scalar cubic splines
-(spherical_splines), which the library fits as one vector spline.
+a perturbed path's profiles as three scalar cubic splines
+(spherical_splines), which the library fits as one vector spline, and the
+noise chains run forward one point at a time (ar1_recursion, chain_delta),
+which the library filters in blocks and, in first order, runs backward.
 None of them imports tripodholo; test_oracles_import_nothing_from_the_library
 checks that.
 """
@@ -97,3 +99,31 @@ def spherical_splines(x, s) -> tuple[CubicSpline, CubicSpline, CubicSpline]:
     phi = np.unwrap(np.arctan2(unit[:, 1], unit[:, 0]))
     phi[-1] = phi[0] + 2.0 * np.pi * round((phi[-1] - phi[0]) / (2.0 * np.pi))
     return CubicSpline(s, theta), CubicSpline(s, phi), CubicSpline(s, r)
+
+
+def ar1_recursion(c: float, x) -> np.ndarray:
+    """y[k] = x[k] + c y[k-1] from rest, one point at a time, in scipy's
+    lfilter([1.0], [1.0, -c], x) order of operations."""
+    x = np.asarray(x, dtype=float)
+    y = np.empty_like(x)
+    prev = 0.0
+    for k in range(x.size):
+        prev = x[k] + c * prev
+        y[k] = prev
+    return y
+
+
+def chain_delta(blocks, innov, node_w, res_w, z, eta) -> float:
+    """node_w . x + res_w . eta for the node chain x_0 = innov_0 z_0,
+    x_k = a x_{k-1} + innov_k z_k, run forward node by node; blocks lists
+    (segment count, a) in node order."""
+    w = np.asarray(innov) * np.asarray(z)
+    x = np.empty(w.size)
+    x[0] = w[0]
+    k = 1
+    for n_seg, a in blocks:
+        for _ in range(n_seg):
+            x[k] = w[k] + a * x[k - 1]
+            k += 1
+    assert k == w.size
+    return float(node_w @ x + res_w @ eta)

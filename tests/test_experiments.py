@@ -19,7 +19,7 @@ from tripodholo import (
 )
 from tripodholo.experiments import _IntervalEngine, _mc_grid, threads_from_env
 from tripodholo import experiments, holonomy, noise as noise_mod, paths, propagator
-from oracles import spherical_splines
+from oracles import chain_delta, spherical_splines
 
 EQUATOR = latitude_loop(np.pi / 2, 1.0)
 
@@ -107,6 +107,36 @@ def test_interval_engine_matches_direct_distribution():
         assert (abs(fast.std(ddof=1) - direct.std(ddof=1))
                 <= 3.0 * np.hypot(*std_errors)), pinning
         assert abs(fast.mean()) < 4.0 * fast.std() / np.sqrt(n), pinning
+
+
+@pytest.mark.parametrize("pinning", noise_mod.PINNING_MODES)
+def test_interval_engine_delta_equals_the_forward_chain(pinning):
+    # The engine runs the node chain backward once (its adjoint); the oracle
+    # runs it forward on each realization's own draws. On this loop every
+    # axis enters the kernel, and at tau 0.05 endpoint-ramp's nodes form
+    # three blocks, the ramps' a apart from the interior's. Bound: 1e-15 of
+    # the summed absolute terms, the scale of a dot product's rounding.
+    loop = latitude_loop(np.pi / 3)
+    spec = NoiseSpec(sigma=(0.01, 0.005, 0.02), tau=0.05, pinning=pinning, seed=8)
+    period = 50.0
+    engine = _IntervalEngine(loop, spec, period)
+    chains = _IntervalEngine.chains(loop, spec, period)
+    assert [c[0] for c in chains] == [0, 1, 2]
+    for _, blocks, *_ in chains:
+        if pinning == "endpoint-ramp":
+            assert len(blocks) == 3 and blocks[0][1] != blocks[1][1]
+        else:
+            assert len(blocks) == 1
+    for index in range(10):
+        total = scale = 0.0
+        for axis, blocks, innov, node_w, res_w in chains:
+            rng = np.random.default_rng([spec.seed, index, axis])
+            z = rng.standard_normal(innov.size)
+            eta = rng.standard_normal(res_w.size)
+            total += chain_delta(blocks, innov, node_w, res_w, z, eta)
+            scale += chain_delta(blocks, np.abs(innov), np.abs(node_w), np.abs(res_w),
+                                 np.abs(z), np.abs(eta))
+        assert abs(engine(index) - total) <= 1e-15 * scale, (pinning, index)
 
 
 def test_gap_frequency_perturbation_escapes_first_order_theory():

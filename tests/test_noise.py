@@ -11,6 +11,8 @@ from tripodholo import (
 from tripodholo import noise
 from tripodholo.noise import RAMP_WIDTH_TAUS
 
+from oracles import ar1_recursion
+
 SIGMA, TAU = 0.05, 0.5
 
 
@@ -245,8 +247,27 @@ def test_each_driven_axis_filters_through_the_module_lfilter(monkeypatch, pinnin
     real = sample_realization(spec, np.linspace(0.0, 10.0, 401), 3)
     assert len(calls) == 2
     for b, a, x, out in calls:
-        assert np.array_equal(out, signal.lfilter(b, a, x))
+        ref = ar1_recursion(-a[1], x)
+        # The oracle is scipy's recursion to the bit; the blocked filter
+        # rounds differently.
+        assert np.array_equal(ref, signal.lfilter(b, a, x))
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.sqrt(np.mean(ref ** 2))
     assert not real.dx[:, 1].any()
     if pinning == "none":
         assert np.array_equal(real.dx[:, 0], calls[0][3])
         assert np.array_equal(real.dx[:, 2], calls[1][3])
+
+
+@pytest.mark.parametrize("b, a", [([1.0, 0.5], [1.0, -0.9]), ([2.0], [1.0, -0.9]),
+                                  ([1.0], [2.0, -0.9]), ([1.0], [1.0, -0.9, 0.1]),
+                                  ([1.0], [1.0])])
+def test_lfilter_rejects_any_other_filter(b, a):
+    with pytest.raises(ValueError, match="first-order filter"):
+        noise.lfilter(b, a, np.ones(5))
+
+
+def test_lfilter_runs_from_rest_on_short_and_empty_input():
+    assert noise.lfilter([1.0], [1.0, -0.5], np.array([])).size == 0
+    assert np.array_equal(noise.lfilter([1.0], [1.0, -0.5], [2.0]), [2.0])
+    assert np.array_equal(noise.lfilter([1.0], [1.0, -0.5], [1.0, 0.0, 0.0]),
+                          [1.0, 0.5, 0.25])

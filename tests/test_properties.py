@@ -18,11 +18,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial.transform import Rotation
 
 from tripodholo import (ControlPath, Harmonics, Profile, arc_length, evolve_lab,
-                        evolve_moving, extract_logical_gate, fourier_path, solid_angle,
-                        tripod)
+                        evolve_moving, extract_logical_gate, fourier_path, noise,
+                        solid_angle, tripod)
 from tripodholo.propagator import STEPS_PER_UNIT_TIME, _effective_steps
 
-from oracles import step_matrices
+from oracles import ar1_recursion, step_matrices
 
 PROPERTY_SETTINGS = settings(max_examples=20, derandomize=True, deadline=None)
 
@@ -189,6 +189,18 @@ def test_propagated_gate_survives_reparametrization_to_first_order(path, sign, s
     moved = _reparametrized(path, a)
     blocks = [extract_logical_gate(evolve_lab(p, eps), p).block for p in (path, moved)]
     assert np.linalg.norm(blocks[0] - blocks[1]) <= 5.0 * eps
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from((1, 31, 32, 33, 1025)),
+       st.floats(np.exp(-0.2), 1.0, exclude_max=True), st.integers(0, 2 ** 32 - 1))
+def test_blocked_ar1_filter_matches_the_recursion(n, c, seed):
+    # Lengths around the 32-point block edges; c from full propagation's
+    # largest step factor e^-0.2 up to a near random walk.
+    x = np.random.default_rng(seed).standard_normal(n)
+    ref = ar1_recursion(c, x)
+    out = noise.lfilter([1.0], [1.0, -c], x)
+    assert np.max(np.abs(out - ref)) <= 1e-14 * np.sqrt(np.mean(ref ** 2))
 
 
 def test_oracles_import_nothing_from_the_library():
