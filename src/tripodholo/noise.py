@@ -14,6 +14,7 @@ first-order engine shares.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,13 +124,22 @@ def _ar1(c: float, x: np.ndarray) -> np.ndarray:
     return y.ravel()[:n]
 
 
+# Three entries: each axis of a spec may have its own tau, and an ensemble
+# draws every realization on one grid.
+@functools.lru_cache(maxsize=3)
 def bridge_weight(a, m: int) -> np.ndarray:
     """Projection weights w_k = cov(x_k, x_m) / var(x_m), k = 0..m, of the
     zero-started chain with step factor a, x_k = a x_{k-1} + innovation:
     w_k = (a^(m-k) - a^(m+k)) / (1 - a^(2m)). Subtracting x_m w conditions
-    the chain on x_m = 0, the exact bridge."""
+    the chain on x_m = 0, the exact bridge.
+
+    The weights depend only on (a, m), so they are computed once per pair
+    and shared, as a read-only array, by every realization drawn with it.
+    """
     k = np.arange(m + 1)
-    return (a ** (m - k) - a ** (m + k)) / (1.0 - a ** (2 * m))
+    w = (a ** (m - k) - a ** (m + k)) / (1.0 - a ** (2 * m))
+    w.flags.writeable = False
+    return w
 
 
 def sample_realization(spec: NoiseSpec, grid, index: int) -> NoiseRealization:

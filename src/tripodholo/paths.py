@@ -9,14 +9,11 @@ must close, x^(0) = x^(1); the norm r may end anywhere positive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
 from . import tripod
-
-if TYPE_CHECKING:
-    from scipy.interpolate import PPoly
 
 _CLOSURE_TOL = 1e-10
 
@@ -148,11 +145,46 @@ def _unit_vector(th, ph, axis=-1):
 
 
 @dataclass(frozen=True, eq=False)
+class _PiecewisePoly:
+    """Piecewise polynomial on the increasing knots x: on [x[i], x[i+1]] it
+    is sum_k c[k, ..., i] (s - x[i])^(K-1-k), K = len(c), one polynomial per
+    index of c's middle axes; a call returns shape c.shape[1:-1] + s.shape.
+
+    Its values are those of scipy's PPoly with the same coefficients, whose
+    layout has the pieces on axis 1, to the bit: the same interval search,
+    extrapolation from the end pieces and order of operations. PPoly's sum
+    starts from 0.0 + c[K-1], so a -0.0 there may read as -0.0 here where
+    PPoly gives +0.0. The evaluation copies no coefficients but those it
+    gathers, one np.take for all polynomials.
+    """
+
+    x: np.ndarray
+    c: np.ndarray
+
+    def __call__(self, s):
+        s = np.asarray(s, dtype=float)
+        x = self.x
+        # PPoly's find_interval with extrapolation: the last knot and beyond
+        # fall in the last piece, points before the first knot in the first,
+        # and NaN in the last, where it reads NaN as in PPoly.
+        i = np.clip(np.searchsorted(x, s, "right") - 1, 0, x.size - 2)
+        d = s - x[i]
+        c = np.take(self.c, i, axis=-1)
+        # _ppoly.evaluate_poly1's order: z runs through d, d d, (d d) d.
+        res = c[-1] + c[-2] * d
+        z = d
+        for k in range(3, len(c) + 1):
+            z = z * d
+            res = res + c[-k] * z
+        return res
+
+
+@dataclass(frozen=True, eq=False)
 class _SplinePath(ControlPath):
-    """Path whose profiles are the columns of one vector spline of
+    """Path whose profiles are the rows of one vector spline of
     (theta, phi, r), so spherical evaluates all three in one pass."""
 
-    spline: PPoly
+    spline: _PiecewisePoly
 
     def __post_init__(self):
         """Nothing to check: perturb has checked the knot values the spline
@@ -163,8 +195,8 @@ class _SplinePath(ControlPath):
         return self.spline.x
 
     def spherical(self, s):
-        v = self.spline(np.asarray(s, dtype=float))
-        return v[..., 0], v[..., 1], v[..., 2]
+        th, ph, rr = self.spline(s)
+        return th, ph, rr
 
 
 def latitude_loop(theta0: float, r0: float = 1.0) -> ControlPath:
@@ -269,14 +301,18 @@ def fourier_path(theta_coeffs: Harmonics, phi_coeffs: Harmonics,
 
 def _not_a_knot(s: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Coefficients of the not-a-knot cubic spline through the rows of y,
-    shape (k, n), at the n >= 4 increasing knots s: the C-contiguous PPoly
-    array of shape (4, n - 1, k) whose [..., j] fits row j.
+    shape (k, n), at the n >= 4 increasing knots s: the C-contiguous array
+    of shape (4, k, n - 1) whose [:, j] fits row j, in _PiecewisePoly's
+    layout.
 
     These are the operations scipy's CubicSpline runs for this case, on
     contiguous rows: one banded solve for the slopes at the knots, with the
     not-a-knot end rows, and the cubic Hermite coefficients of each
     interval. Each row is handled alone, so the result equals
-    CubicSpline(s, y.T).c, and that of a scalar fit per row, to the bit.
+    CubicSpline(s, y.T).c with its last two axes swapped, and that of a
+    scalar fit per row, to the bit, but for the sign of a zero in the last
+    two coefficients: those are stored plus 0.0, as PPoly's sum starts, so
+    that the spline and its derivative read as CubicSpline's there too.
     """
     from scipy.linalg import solve_banded
 
@@ -301,13 +337,12 @@ def _not_a_knot(s: np.ndarray, y: np.ndarray) -> np.ndarray:
     rhs[:, -1] = (h[-1] * h[-1] * slope[:, -2] + (2 * d + h[-1]) * h[-2] * slope[:, -1]) / d
     m = solve_banded((1, 1), band, rhs.T, overwrite_ab=True, overwrite_b=True,
                      check_finite=False).T
-    c = np.empty((4, n - 1, y.shape[0]))
-    rows = c.transpose(0, 2, 1)
+    c = np.empty((4, y.shape[0], n - 1))
     t = (m[:, :-1] + m[:, 1:] - 2 * slope) / h
-    np.divide(t, h, out=rows[0])
-    np.subtract((slope - m[:, :-1]) / h, t, out=rows[1])
-    rows[2] = m[:, :-1]
-    rows[3] = y[:, :-1]
+    np.divide(t, h, out=c[0])
+    np.subtract((slope - m[:, :-1]) / h, t, out=c[1])
+    np.add(m[:, :-1], 0.0, out=c[2])
+    np.add(y[:, :-1], 0.0, out=c[3])
     return c
 
 
@@ -316,17 +351,17 @@ def perturb(path: ControlPath, realization) -> ControlPath:
 
     The perturbed curve is re-expressed in spherical profiles (phi unwrapped
     continuously) backed by one vector not-a-knot cubic spline of
-    (theta, phi, r), fitted directly on the realization grid; theta, phi and
-    radius are its columns, and x and xhat evaluate all three in one pass.
-    The knot values get ControlPath's profile checks here, once, and the
-    spline path skips the re-evaluation ControlPath would make. The
-    realization must be finite, on a grid of at least 4 increasing times,
-    and preserve unit-vector closure, which pinned noise does by
-    construction; perturbations that drive the curve near the origin
-    (|x'| < 0.1 min r) are rejected because the spectral gap would collapse.
+    (theta, phi, r), fitted directly on the realization grid and evaluated
+    in numpy (_PiecewisePoly, scipy PPoly's bits without scipy.interpolate);
+    theta, phi and radius read its rows, and x and xhat evaluate all three
+    in one pass. The knot values get ControlPath's profile checks here,
+    once, and the spline path skips the re-evaluation ControlPath would
+    make. The realization must be finite, on a grid of at least 4
+    increasing times, and preserve unit-vector closure, which pinned noise
+    does by construction; perturbations that drive the curve near the
+    origin (|x'| < 0.1 min r) are rejected because the spectral gap would
+    collapse.
     """
-    from scipy.interpolate import PPoly
-
     t = np.asarray(realization.grid, dtype=float)
     dx = np.asarray(realization.dx, dtype=float)
     if dx.shape != (t.size, 3):
@@ -363,12 +398,11 @@ def perturb(path: ControlPath, realization) -> ControlPath:
     c = _not_a_knot(s, y)
     rate = c[:3] * np.array([3.0, 2.0, 1.0])[:, None, None]
     return _SplinePath(
-        # Profile k reads column k of the coefficients, without a refit; its
+        # Profile k reads row k of the coefficients, without a refit; its
         # derivative's coefficients are those scaled by 3, 2 and 1.
-        *(Profile(fn=PPoly.construct_fast(c[..., k], s),
-                  dfn=PPoly.construct_fast(rate[..., k], s))
+        *(Profile(fn=_PiecewisePoly(s, c[:, k]), dfn=_PiecewisePoly(s, rate[:, k]))
           for k in range(3)),
-        spline=PPoly.construct_fast(c, s),
+        spline=_PiecewisePoly(s, c),
     )
 
 

@@ -416,6 +416,24 @@ def test_mc_full_mode_reports_leakage_fields():
     assert res.n_excluded == 0
 
 
+def test_exact_bridge_weight_is_computed_once_per_axis_setting(monkeypatch):
+    # The bridge weight depends only on the grid and tau: a full-propagation
+    # ensemble computes it once per distinct tau, not per realization and
+    # axis, and the deltas equal those drawn with the uncached weight.
+    monkeypatch.setenv("THREADS", "1")
+    spec = NoiseSpec(sigma=(0.01, 0.01, 0.01), tau=(0.5, 0.5, 0.25),
+                     pinning="exact-bridge", seed=13)
+    n = 6
+    noise_mod.bridge_weight.cache_clear()
+    cached = mc_delta(EQUATOR, spec, 0.02, n, "full_propagation")
+    info = noise_mod.bridge_weight.cache_info()
+    assert (info.misses, info.hits) == (2, 3 * n - 2)
+    monkeypatch.setattr(noise_mod, "bridge_weight", noise_mod.bridge_weight.__wrapped__)
+    direct = mc_delta(EQUATOR, spec, 0.02, n, "full_propagation")
+    assert cached.n_excluded == direct.n_excluded == 0
+    assert cached.deltas.tobytes() == direct.deltas.tobytes()
+
+
 def test_mc_excludes_non_adiabatic_realizations():
     # At eps = 0.05 the equator loop leaks above the flag threshold, so the
     # whole ensemble is excluded and statistics are refused.

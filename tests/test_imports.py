@@ -78,21 +78,25 @@ def test_first_order_noisy_runs_load_no_scipy(tmp_path):
 
 
 def test_full_propagation_loads_only_the_spline_scipy(tmp_path):
+    # The spline's banded solve is the one scipy call left; its evaluation
+    # is numpy's. scipy's private modules (scipy._lib, scipy.__config__ and
+    # the like) and scipy.version come with any scipy import.
     modules = _noisy_run_modules(tmp_path, "noise-mc", "full_propagation")
-    assert "scipy.linalg" in modules and "scipy.interpolate" in modules
-    assert not [m for m in modules if m.startswith(("scipy.signal", "scipy.stats"))]
+    top = {m.split(".")[1] for m in modules if m.startswith("scipy.")}
+    assert {m for m in top if not m.startswith("_")} - {"version"} == {"linalg"}
 
 
 def test_first_scipy_signal_import_on_pool_threads_keeps_every_bit():
     # Full propagation perturbs its first path on the pool, so at THREADS=2
-    # two worker threads import scipy.linalg and scipy.interpolate, through
-    # paths.perturb, at once. (The name is older: scipy.signal was the first
-    # import until the noise filter moved to numpy.)
+    # two worker threads import scipy.linalg, through paths.perturb, at
+    # once. (The name is older: scipy.signal was the first import until the
+    # noise filter moved to numpy, then scipy.interpolate joined scipy.linalg
+    # until the spline's evaluation did too.)
     code = """
         import sys
         import numpy as np
         from tripodholo import NoiseSpec, latitude_loop, mc_delta
-        assert not {"scipy.linalg", "scipy.interpolate"} & set(sys.modules)
+        assert "scipy.linalg" not in sys.modules
         spec = NoiseSpec.uniform(0.01, 0.5, seed=31)
         res = mc_delta(latitude_loop(np.pi / 2, 1.0), spec, 0.02, 4, "full_propagation")
         assert res.n_excluded == 0

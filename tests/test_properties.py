@@ -15,10 +15,11 @@ from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from scipy.interpolate import PPoly
 from scipy.spatial.transform import Rotation
 
 from tripodholo import (ControlPath, Harmonics, Profile, arc_length, evolve_lab,
-                        evolve_moving, extract_logical_gate, fourier_path, noise,
+                        evolve_moving, extract_logical_gate, fourier_path, noise, paths,
                         solid_angle, tripod)
 from tripodholo.propagator import STEPS_PER_UNIT_TIME, _effective_steps
 
@@ -201,6 +202,28 @@ def test_blocked_ar1_filter_matches_the_recursion(n, c, seed):
     ref = ar1_recursion(c, x)
     out = noise.lfilter([1.0], [1.0, -c], x)
     assert np.max(np.abs(out - ref)) <= 1e-14 * np.sqrt(np.mean(ref ** 2))
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(4, 200), st.sampled_from(((4, 3), (3,))), st.floats(-10.0, 10.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_piecewise_poly_matches_scipy_ppoly(n, lead, start, seed):
+    # Non-uniform knots, gaps over three decades; the cubic vector spline's
+    # layout (4, 3, m) and a profile derivative's (3, m). Queries on the
+    # knots, at midpoints, outside the knots (extrapolated from the end
+    # pieces) and NaN.
+    rng = np.random.default_rng(seed)
+    x = start + np.concatenate([[0.0], np.cumsum(10.0 ** rng.uniform(-3, 0, n - 1))])
+    c = rng.standard_normal(lead + (n - 1,)) * 10.0 ** rng.uniform(-3, 3, lead + (1,))
+    span = x[-1] - x[0]
+    s = np.concatenate([x, 0.5 * (x[:-1] + x[1:]), [x[-1], np.nan],
+                        x[0] - span * rng.uniform(0.0, 1.0, 5),
+                        x[-1] + span * rng.uniform(0.0, 1.0, 5)])
+    oracle = PPoly.construct_fast(np.moveaxis(c, -1, 1), x)
+    for q in (s, s.reshape(-1, 1), s[n]):
+        out = paths._PiecewisePoly(x, c)(q)
+        assert np.array_equal(np.moveaxis(out, 0, -1) if c.ndim == 3 else out,
+                              oracle(q), equal_nan=True)
 
 
 def test_oracles_import_nothing_from_the_library():
