@@ -55,7 +55,7 @@ class SolidAngleReport:
 def solid_angle(path: ControlPath) -> SolidAngleReport:
     """Both solid-angle forms and the shadow's arc length, from one
     quadrature call, plus the winding number."""
-    dense = path.grid if path.grid is not None else np.linspace(0.0, 1.0, 2049)
+    dense = np.linspace(0.0, 1.0, 2049)
     th = path.theta(dense)
     if np.min(th) <= 0.0 or np.max(th) >= np.pi:
         raise ValueError(
@@ -69,7 +69,7 @@ def solid_angle(path: ControlPath) -> SolidAngleReport:
         return np.stack([c * phid, (1.0 - c) * phid,
                          shadow_speed(theta, path.theta.derivative(s), phid)])
 
-    omega_cos, omega_area, length = (float(v) for v in integrate_path(path, forms))
+    omega_cos, omega_area, length = (float(v) for v in integrate_path(forms))
     return SolidAngleReport(
         omega_cos=omega_cos,
         omega_area=omega_area,
@@ -142,7 +142,7 @@ def delta_variance_analytic(path: ControlPath, spec, period: float) -> float:
             "use Monte Carlo for varying-amplitude paths"
         )
     weights = np.asarray(spec.tau, dtype=float) * np.asarray(spec.sigma, dtype=float) ** 2
-    per_axis = integrate_path(path, lambda s: angle_response_kernel(path, s).T ** 2)
+    per_axis = integrate_path(lambda s: angle_response_kernel(path, s).T ** 2)
     return float(np.dot(weights, per_axis)) / float(period)
 
 

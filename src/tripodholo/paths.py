@@ -76,9 +76,6 @@ class ControlPath:
     theta: Profile | Harmonics
     phi: Profile | Harmonics
     radius: Profile | Harmonics
-    #: Native sample points of a spline-backed path, None for a function-backed
-    #: one; derived from the profiles, never passed in.
-    grid = None
 
     def __post_init__(self):
         dense = np.linspace(0.0, 1.0, 1025)
@@ -142,61 +139,6 @@ def _check_profiles(s, th, ph, rr) -> None:
 def _unit_vector(th, ph, axis=-1):
     st = np.sin(th)
     return np.stack([st * np.cos(ph), st * np.sin(ph), np.cos(th)], axis=axis)
-
-
-@dataclass(frozen=True, eq=False)
-class _PiecewisePoly:
-    """Piecewise polynomial on the increasing knots x: on [x[i], x[i+1]] it
-    is sum_k c[k, ..., i] (s - x[i])^(K-1-k), K = len(c), one polynomial per
-    index of c's middle axes; a call returns shape c.shape[1:-1] + s.shape.
-
-    Its values are those of scipy's PPoly with the same coefficients, whose
-    layout has the pieces on axis 1, to the bit: the same interval search,
-    extrapolation from the end pieces and order of operations. PPoly's sum
-    starts from 0.0 + c[K-1], so a -0.0 there may read as -0.0 here where
-    PPoly gives +0.0. The evaluation copies no coefficients but those it
-    gathers, one np.take for all polynomials.
-    """
-
-    x: np.ndarray
-    c: np.ndarray
-
-    def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        x = self.x
-        # PPoly's find_interval with extrapolation: the last knot and beyond
-        # fall in the last piece, points before the first knot in the first,
-        # and NaN in the last, where it reads NaN as in PPoly.
-        i = np.clip(np.searchsorted(x, s, "right") - 1, 0, x.size - 2)
-        d = s - x[i]
-        c = np.take(self.c, i, axis=-1)
-        # _ppoly.evaluate_poly1's order: z runs through d, d d, (d d) d.
-        res = c[-1] + c[-2] * d
-        z = d
-        for k in range(3, len(c) + 1):
-            z = z * d
-            res = res + c[-k] * z
-        return res
-
-
-@dataclass(frozen=True, eq=False)
-class _SplinePath(ControlPath):
-    """Path whose profiles are the rows of one vector spline of
-    (theta, phi, r), so spherical evaluates all three in one pass."""
-
-    spline: _PiecewisePoly
-
-    def __post_init__(self):
-        """Nothing to check: perturb has checked the knot values the spline
-        interpolates."""
-
-    @property
-    def grid(self):
-        return self.spline.x
-
-    def spherical(self, s):
-        th, ph, rr = self.spline(s)
-        return th, ph, rr
 
 
 def latitude_loop(theta0: float, r0: float = 1.0) -> ControlPath:
@@ -299,68 +241,39 @@ def fourier_path(theta_coeffs: Harmonics, phi_coeffs: Harmonics,
     )
 
 
-def _not_a_knot(s: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Coefficients of the not-a-knot cubic spline through the rows of y,
-    shape (k, n), at the n >= 4 increasing knots s: the C-contiguous array
-    of shape (4, k, n - 1) whose [:, j] fits row j, in _PiecewisePoly's
-    layout.
+@dataclass(frozen=True, eq=False)
+class _PerturbedDrive:
+    """Drive x(s) = path.x(s) + dx(s), with dx taken linearly between the
+    knots it is given at: the drive perturb returns. It has the two members
+    a propagation reads, x and radius."""
 
-    These are the operations scipy's CubicSpline runs for this case, on
-    contiguous rows: one banded solve for the slopes at the knots, with the
-    not-a-knot end rows, and the cubic Hermite coefficients of each
-    interval. Each row is handled alone, so the result equals
-    CubicSpline(s, y.T).c with its last two axes swapped, and that of a
-    scalar fit per row, to the bit, but for the sign of a zero in the last
-    two coefficients: those are stored plus 0.0, as PPoly's sum starts, so
-    that the spline and its derivative read as CubicSpline's there too.
-    """
-    from scipy.linalg import solve_banded
+    path: ControlPath
+    #: The knots s = t / t[-1] of the realization's time grid.
+    grid: np.ndarray
+    #: The perturbation at the knots, one row per axis: shape (3, len(grid)).
+    dx: np.ndarray
 
-    n = s.size
-    h = np.diff(s)
-    slope = np.diff(y, axis=1) / h
-    band = np.zeros((3, n))
-    band[1, 1:-1] = 2 * (h[:-1] + h[1:])
-    band[0, 2:] = h[:-1]
-    band[2, :-2] = h[1:]
-    # The right-hand sides as rows of a Fortran array, which the solver
-    # takes without a copy.
-    rhs = np.empty((n, y.shape[0]), order="F").T
-    rhs[:, 1:-1] = 3 * (h[1:] * slope[:, :-1] + h[:-1] * slope[:, 1:])
-    d = s[2] - s[0]
-    band[1, 0] = h[1]
-    band[0, 1] = d
-    rhs[:, 0] = ((h[0] + 2 * d) * h[1] * slope[:, 0] + h[0] * h[0] * slope[:, 1]) / d
-    d = s[-1] - s[-3]
-    band[1, -1] = h[-2]
-    band[2, -2] = d
-    rhs[:, -1] = (h[-1] * h[-1] * slope[:, -2] + (2 * d + h[-1]) * h[-2] * slope[:, -1]) / d
-    m = solve_banded((1, 1), band, rhs.T, overwrite_ab=True, overwrite_b=True,
-                     check_finite=False).T
-    c = np.empty((4, y.shape[0], n - 1))
-    t = (m[:, :-1] + m[:, 1:] - 2 * slope) / h
-    np.divide(t, h, out=c[0])
-    np.subtract((slope - m[:, :-1]) / h, t, out=c[1])
-    np.add(m[:, :-1], 0.0, out=c[2])
-    np.add(y[:, :-1], 0.0, out=c[3])
-    return c
+    def x(self, s):
+        s = np.asarray(s, dtype=float)
+        shift = np.stack([np.interp(s, self.grid, row) for row in self.dx], axis=-1)
+        return self.path.x(s) + shift
+
+    def radius(self, s):
+        return np.linalg.norm(self.x(s), axis=-1)
 
 
-def perturb(path: ControlPath, realization) -> ControlPath:
-    """Path with the realization's Cartesian perturbation added: x' = x + dx.
+def perturb(path: ControlPath, realization) -> _PerturbedDrive:
+    """The drive x' = x + dx of the path with the realization's Cartesian
+    perturbation added.
 
-    The perturbed curve is re-expressed in spherical profiles (phi unwrapped
-    continuously) backed by one vector not-a-knot cubic spline of
-    (theta, phi, r), fitted directly on the realization grid and evaluated
-    in numpy (_PiecewisePoly, scipy PPoly's bits without scipy.interpolate);
-    theta, phi and radius read its rows, and x and xhat evaluate all three
-    in one pass. The knot values get ControlPath's profile checks here,
-    once, and the spline path skips the re-evaluation ControlPath would
-    make. The realization must be finite, on a grid of at least 4
-    increasing times, and preserve unit-vector closure, which pinned noise
-    does by construction; perturbations that drive the curve near the
-    origin (|x'| < 0.1 min r) are rejected because the spectral gap would
-    collapse.
+    The noise is only known at the realization's grid times, so the drive
+    takes it linearly between them: at each knot s = t / t[-1], x' is
+    path.x(s) + dx to the bit. The realization must be finite, on a grid of
+    at least 4 increasing times, and preserve unit-vector closure, which
+    pinned noise does by construction; the path's profiles must pass
+    ControlPath's checks at the knots. Perturbations that drive the curve
+    near the origin (|x'| < 0.1 min r at a knot) are rejected because the
+    spectral gap would collapse.
     """
     t = np.asarray(realization.grid, dtype=float)
     dx = np.asarray(realization.dx, dtype=float)
@@ -374,36 +287,22 @@ def perturb(path: ControlPath, realization) -> ControlPath:
     s = t / t[-1]
     if s.size < 4 or not np.all(np.diff(s) > 0.0):
         raise ValueError("realization grid must hold at least 4 increasing times")
-    # The round trip runs on contiguous (3, n) rows: x is path.x(s) + dx,
-    # transposed, and rr its norm, both to the bit.
     th, ph, r = path.spherical(s)
-    x = r * _unit_vector(th, ph, axis=0) + dx.T
+    # ControlPath checks its profiles on a fixed grid; the knots may fall
+    # between its points.
+    _check_profiles(s, th, ph, r)
+    # On contiguous (3, n) rows: x is path.x(s) + dx, transposed, to the bit.
+    dx = np.ascontiguousarray(dx.T)
+    x = r * _unit_vector(th, ph, axis=0) + dx
     rr = np.linalg.norm(x, axis=0)
     r_min = float(np.min(path.radius(np.linspace(0.0, 1.0, 1025))))
     if np.min(rr) < 0.1 * r_min:
         raise ValueError("perturbation drives the curve too close to the origin")
-    x /= rr
-    if np.linalg.norm(x[:, 0] - x[:, -1]) > _CLOSURE_TOL:
+    if np.linalg.norm(x[:, 0] / rr[0] - x[:, -1] / rr[-1]) > _CLOSURE_TOL:
         raise ValueError(
             "realization breaks unit-vector periodicity; use a pinned realization"
         )
-    y = np.stack([np.arccos(np.clip(x[2], -1.0, 1.0)),
-                  np.unwrap(np.arctan2(x[1], x[0])), rr])
-    # The checks ControlPath makes of its profiles. The closure check above
-    # and the winding snap below stand for its other two.
-    _check_profiles(s, *y)
-    # Snap the endpoint so the winding bookkeeping stays exact under closure.
-    phi = y[1]
-    phi[-1] = phi[0] + 2.0 * np.pi * round((phi[-1] - phi[0]) / (2.0 * np.pi))
-    c = _not_a_knot(s, y)
-    rate = c[:3] * np.array([3.0, 2.0, 1.0])[:, None, None]
-    return _SplinePath(
-        # Profile k reads row k of the coefficients, without a refit; its
-        # derivative's coefficients are those scaled by 3, 2 and 1.
-        *(Profile(fn=_PiecewisePoly(s, c[:, k]), dfn=_PiecewisePoly(s, rate[:, k]))
-          for k in range(3)),
-        spline=_PiecewisePoly(s, c),
-    )
+    return _PerturbedDrive(path, s, dx)
 
 
 def shadow_speed(theta, theta_dot, phi_dot):
@@ -421,4 +320,4 @@ def arc_length(path: ControlPath) -> float:
         return shadow_speed(path.theta(s), path.theta.derivative(s),
                             path.phi.derivative(s))
 
-    return integrate_path(path, speed)
+    return integrate_path(speed)

@@ -207,8 +207,10 @@ def evolve_lab(path: ControlPath, epsilon: float, *,
     """Lab-frame propagator U(T0), T0 = 1/epsilon, by midpoint exponentials,
     of a drive whose true period is T0 + delta_t.
 
-    With delta_t != 0 the loop has not closed at the nominal stopping time
-    T0, so the returned operator carries a residual frame rotation on top of
+    The drive is any object with x(s) and radius(s) on normalized time s: a
+    ControlPath, or the perturbed drive paths.perturb returns. With
+    delta_t != 0 the loop has not closed at the nominal stopping time T0,
+    so the returned operator carries a residual frame rotation on top of
     the geometric gate.
     """
     n = _effective_steps(path, epsilon, steps_per_unit_time)

@@ -1,20 +1,16 @@
-"""Quadrature over control paths.
-
-Function-backed paths get the adaptive 21-point Gauss-Kronrod rule on whole
-arrays of points; spline-backed (grid) paths get composite Simpson on a
-midpoint-refined copy of their native grid, which matches the spline's own
-accuracy.
+"""Quadrature over control paths: the adaptive 21-point Gauss-Kronrod rule
+on whole arrays of points.
 
 The Gauss-Kronrod pair is QUADPACK's (Piessens, de Doncker, Ueberhuber and
 Kahaner, *QUADPACK*, 1983, ``dqk21``) with global error control: the interval
 of largest error is halved until the summed error is within tolerance.
-Both rules repeat, operation for operation, what ``scipy.integrate.cubature``
-(``rule="gk21"``) and ``scipy.integrate.simpson`` compute: the same constants,
-the same node and weight scaling, the same sums, the same heap order and the
-same running totals. Floating-point sums depend on their order, so only this
-makes every path integral equal scipy's to the bit; scipy then serves as an
-exact oracle (``tests/test_quadrature.py``), and the artifacts stay the same
-bytes, while no run pays the ~0.6 s import of ``scipy.integrate``.
+The rule repeats, operation for operation, what ``scipy.integrate.cubature``
+(``rule="gk21"``) computes: the same constants, the same node and weight
+scaling, the same sums, the same heap order and the same running totals.
+Floating-point sums depend on their order, so only this makes every path
+integral equal scipy's to the bit; scipy then serves as an exact oracle
+(``tests/test_quadrature.py``), and the artifacts stay the same bytes, while
+the library needs no scipy.
 """
 
 from __future__ import annotations
@@ -96,19 +92,15 @@ _NODES = np.concatenate([_KRONROD_NODES, _GAUSS_NODES])
 _ERROR_WEIGHTS = np.concatenate([_KRONROD_WEIGHTS, -_GAUSS_WEIGHTS])
 
 
-def integrate_path(path, f):
-    """Integral of f(s) over [0, 1] along the given path.
+def integrate_path(f):
+    """Integral of f(s) over [0, 1].
 
     f maps an array s to shape (len(s),), or to (k, len(s)) for k integrands
     sharing one evaluation; the result is a float or a (k,) array. Raises
     ValueError when the adaptive rule does not converge or the result is not
     finite.
     """
-    if path.grid is not None:
-        s = _refine(path.grid)
-        val = _simpson(f(s), s)
-    else:
-        val = _gauss_kronrod(f)
+    val = _gauss_kronrod(f)
     if not np.all(np.isfinite(val)):
         raise ValueError("path integral is not finite")
     return float(val) if np.ndim(val) == 0 else val
@@ -164,26 +156,3 @@ def _gauss_kronrod(f):
             raise ValueError(f"path integral did not converge in {subdivisions} subdivisions")
     return est
 
-
-def _simpson(y: np.ndarray, x: np.ndarray):
-    """Composite Simpson of y over an odd number of strictly increasing
-    points x, along y's last axis."""
-    h = np.diff(x)
-    h0, h1 = h[0::2], h[1::2]
-    hsum = h0 + h1
-    hprod = h0 * h1
-    h0divh1 = h0 / h1
-    tmp = hsum / 6.0 * (y[..., 0:-2:2] * (2.0 - 1.0 / h0divh1)
-                        + y[..., 1:-1:2] * (hsum * (hsum / hprod))
-                        + y[..., 2::2] * (2.0 - h0divh1))
-    return np.sum(tmp, axis=-1)
-
-
-def _refine(grid: np.ndarray) -> np.ndarray:
-    """Insert midpoints so Simpson sees an even number of fine intervals."""
-    g = np.asarray(grid, dtype=float)
-    mids = 0.5 * (g[:-1] + g[1:])
-    out = np.empty(g.size + mids.size)
-    out[0::2] = g
-    out[1::2] = mids
-    return out

@@ -4,9 +4,9 @@ These deliberately avoid the library's own routes: brute-force series
 exponentials, dense-grid quadrature, the Hamilton product written term by
 term, and the tripod steps as closed-form 4x4 complex matrices
 (step_matrices), which the library itself only ever builds as quaternions,
-a perturbed path's profiles as three scalar cubic splines
-(spherical_splines), which the library fits as one vector spline, and the
-noise chains run forward one point at a time (ar1_recursion, chain_delta),
+a perturbed loop as three scalar cubic splines of its spherical profiles
+(spherical_splines), where the library adds the noise to the Cartesian
+drive linearly between its knots, and the noise chains run forward one point at a time (ar1_recursion, chain_delta),
 which the library filters in blocks and, in first order, runs backward.
 None of them imports tripodholo; test_oracles_import_nothing_from_the_library
 checks that.

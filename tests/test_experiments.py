@@ -176,9 +176,11 @@ def test_gap_frequency_perturbation_escapes_first_order_theory():
     assert abs(full_slow - first_slow) < 0.05 * abs(first_slow)
 
 
-def test_perturbed_realization_keeps_its_bits():
-    # One mc_full realization, propagated on paths.perturb's vector spline
-    # and on three scalar splines built here, gives the same gate to the bit.
+def test_perturbed_realization_stays_on_the_spline_route():
+    # One mc_full realization, propagated on paths.perturb's drive, which
+    # takes the noise linearly between its knots, and on a path of three
+    # scalar cubic splines through the same knots: the gates' angles differ
+    # by 1.2e-7 rad, far below the realization's own 3.5e-4.
     from tripodholo import ControlPath, Profile, evolve_lab, extract_logical_gate, perturb
 
     eps = 0.02
@@ -194,9 +196,8 @@ def test_perturbed_realization_keeps_its_bits():
     )
     gates = [extract_logical_gate(evolve_lab(p, eps, steps_per_unit_time=200), EQUATOR)
              for p in (perturb(EQUATOR, real), reference)]
-    assert gates[0].angle_estimate == gates[1].angle_estimate
-    assert gates[0].leakage == gates[1].leakage
-    assert np.array_equal(gates[0].block, gates[1].block)
+    assert abs(gates[1].angle_estimate) > 1e-4
+    assert abs(gates[0].angle_estimate - gates[1].angle_estimate) < 1e-6
 
 
 def test_mode_agreement_in_validity_regime():

@@ -78,25 +78,53 @@ def test_first_order_noisy_runs_load_no_scipy(tmp_path):
 
 
 def test_full_propagation_loads_only_the_spline_scipy(tmp_path):
-    # The spline's banded solve is the one scipy call left; its evaluation
-    # is numpy's. scipy's private modules (scipy._lib, scipy.__config__ and
-    # the like) and scipy.version come with any scipy import.
-    modules = _noisy_run_modules(tmp_path, "noise-mc", "full_propagation")
-    top = {m.split(".")[1] for m in modules if m.startswith("scipy.")}
-    assert {m for m in top if not m.startswith("_")} - {"version"} == {"linalg"}
+    # It loads none. (The name is older: the spline fit of a perturbed path
+    # needed scipy.linalg until perturb took the noise linearly between its
+    # knots.)
+    assert _noisy_run_modules(tmp_path, "noise-mc", "full_propagation") == []
+
+
+def test_runs_without_scipy_installed(tmp_path):
+    # A None entry in sys.modules makes every import of scipy raise
+    # ImportError, as on an install without it: a noiseless gate, noise-mc
+    # on both routes and a scaling study still run and pass their checks.
+    latitude = "[path]\nfamily = latitude\ntheta0 = 1.0471975511965976\n\n"
+    noisy = latitude + "[propagation]\nepsilon = 0.05\n\n[noise]\nsigma = 0.01\ntau = 0.5\n\n"
+    configs = {
+        "gate": latitude + "[propagation]\nepsilon = 0.05\n",
+        "noise-mc": noisy + "[experiment]\nn = 100\nseed = 3\n",
+        "noise-mc-full": noisy + "[experiment]\nn = 100\nseed = 3\nmode = full_propagation\n",
+        "scaling": noisy + "[experiment]\nn = 100\np = 1\nq = 1\nsigma0 = 0.1\n"
+                           "epsilon_grid = 0.02, 0.04, 0.08, 0.2\n",
+    }
+    argvs = []
+    for name, text in configs.items():
+        (tmp_path / f"{name}.ini").write_text(text)
+        argvs.append([name.removesuffix("-full"), "--config", str(tmp_path / f"{name}.ini"),
+                      "--out", str(tmp_path / name)])
+    out = run_python(f"""
+        import contextlib, io, json, sys
+        sys.modules["scipy"] = None
+        from tripodholo import cli
+        codes = []
+        for argv in {argvs!r}:
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes.append(cli.main(argv))
+        print(json.dumps(codes))
+    """)
+    assert json.loads(out) == [0] * len(configs)
 
 
 def test_first_scipy_signal_import_on_pool_threads_keeps_every_bit():
-    # Full propagation perturbs its first path on the pool, so at THREADS=2
-    # two worker threads import scipy.linalg, through paths.perturb, at
-    # once. (The name is older: scipy.signal was the first import until the
-    # noise filter moved to numpy, then scipy.interpolate joined scipy.linalg
-    # until the spline's evaluation did too.)
+    # Full propagation perturbs its first path on the pool, at THREADS=2 on
+    # two worker threads at once, which once made two threads import scipy
+    # together; the bytes must not depend on the thread count. (The name is
+    # older: scipy.signal, then scipy.interpolate and scipy.linalg, were
+    # that first import until the noise filter and the path perturbation
+    # became numpy's.)
     code = """
-        import sys
         import numpy as np
         from tripodholo import NoiseSpec, latitude_loop, mc_delta
-        assert "scipy.linalg" not in sys.modules
         spec = NoiseSpec.uniform(0.01, 0.5, seed=31)
         res = mc_delta(latitude_loop(np.pi / 2, 1.0), spec, 0.02, 4, "full_propagation")
         assert res.n_excluded == 0

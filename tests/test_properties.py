@@ -1,5 +1,5 @@
-"""Invariants of both propagation frames, and of the loop geometry, over
-random smooth loops.
+"""Invariants of both propagation frames, of the loop geometry and of the
+perturbed drive, over random smooth loops.
 
 The references fold the matrix-step oracle oracles.step_matrices (the
 closed-form 4x4 complex steps) one matrix product at a time, and build the
@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
-from scipy.interpolate import PPoly
 from scipy.spatial.transform import Rotation
 
 from tripodholo import (ControlPath, Harmonics, Profile, arc_length, evolve_lab,
@@ -205,25 +204,30 @@ def test_blocked_ar1_filter_matches_the_recursion(n, c, seed):
 
 
 @PROPERTY_SETTINGS
-@given(st.integers(4, 200), st.sampled_from(((4, 3), (3,))), st.floats(-10.0, 10.0),
-       st.integers(0, 2 ** 32 - 1))
-def test_piecewise_poly_matches_scipy_ppoly(n, lead, start, seed):
-    # Non-uniform knots, gaps over three decades; the cubic vector spline's
-    # layout (4, 3, m) and a profile derivative's (3, m). Queries on the
-    # knots, at midpoints, outside the knots (extrapolated from the end
-    # pieces) and NaN.
-    rng = np.random.default_rng(seed)
-    x = start + np.concatenate([[0.0], np.cumsum(10.0 ** rng.uniform(-3, 0, n - 1))])
-    c = rng.standard_normal(lead + (n - 1,)) * 10.0 ** rng.uniform(-3, 3, lead + (1,))
-    span = x[-1] - x[0]
-    s = np.concatenate([x, 0.5 * (x[:-1] + x[1:]), [x[-1], np.nan],
-                        x[0] - span * rng.uniform(0.0, 1.0, 5),
-                        x[-1] + span * rng.uniform(0.0, 1.0, 5)])
-    oracle = PPoly.construct_fast(np.moveaxis(c, -1, 1), x)
-    for q in (s, s.reshape(-1, 1), s[n]):
-        out = paths._PiecewisePoly(x, c)(q)
-        assert np.array_equal(np.moveaxis(out, 0, -1) if c.ndim == 3 else out,
-                              oracle(q), equal_nan=True)
+@given(loops(), st.sampled_from(("endpoint-ramp", "exact-bridge")), st.integers(2, 9),
+       st.floats(0.001, 0.1), st.integers(0, 2 ** 32 - 1))
+def test_perturbed_drive_is_linear_between_knots(path, pinning, m, sigma, seed):
+    # perturb adds the noise at its knots to the bit, and takes it linearly
+    # between them. With 2^m intervals the knots and their midpoints are
+    # exact binary fractions, so a midpoint lies halfway to the bit; at
+    # other points the weights are the rounded fractions of the interval.
+    grid = np.linspace(0.0, 20.0, 2 ** m + 1)
+    tau = 10.0 * grid[1]
+    real = noise.sample_realization(noise.NoiseSpec.uniform(sigma, tau, pinning, seed),
+                                    grid, 0)
+    drive = paths.perturb(path, real)
+    s = grid / grid[-1]
+    assert np.array_equal(drive.grid, s)
+    assert np.array_equal(drive.x(s), path.x(s) + real.dx)
+    mid = 0.5 * (s[:-1] + s[1:])
+    halfway = path.x(mid) + 0.5 * (real.dx[:-1] + real.dx[1:])
+    assert np.max(np.abs(drive.x(mid) - halfway)) <= 1e-15
+    q = np.random.default_rng(seed).uniform(0.0, 1.0, 200)
+    k = np.minimum(np.searchsorted(s, q, "right") - 1, s.size - 2)
+    w = ((q - s[k]) / (s[k + 1] - s[k]))[:, None]
+    between = path.x(q) + real.dx[k] + w * (real.dx[k + 1] - real.dx[k])
+    assert np.max(np.abs(drive.x(q) - between)) <= 1e-15
+    assert np.array_equal(drive.radius(q), np.linalg.norm(drive.x(q), axis=1))
 
 
 def test_oracles_import_nothing_from_the_library():

@@ -1,10 +1,9 @@
-"""The in-house Gauss-Kronrod and Simpson rules against scipy.integrate, bit
-for bit. scipy appears here only as the oracle; the library never imports
-scipy.integrate."""
+"""The in-house Gauss-Kronrod rule against scipy.integrate, bit for bit.
+scipy appears here only as the oracle; the library never imports it."""
 
 import numpy as np
 import pytest
-from scipy.integrate import cubature, simpson
+from scipy.integrate import cubature
 from scipy.integrate._rules import GaussKronrodQuadrature, ProductNestedFixed
 from scipy.special import roots_legendre
 
@@ -16,9 +15,7 @@ from tripodholo import (
     latitude_loop,
     lune_path,
     paths,
-    perturb,
     quadrature,
-    sample_realization,
 )
 
 
@@ -37,25 +34,24 @@ def random_path(family: str, rng: np.random.Generator):
     return fourier_path(theta, phi, Harmonics(1.0))
 
 
-def integrands(path, monkeypatch, variance=True):
+def integrands(path, monkeypatch):
     """The integrands the library hands to integrate_path for this path:
-    solid_angle's three rows, arc_length's scalar speed and, with
-    `variance`, delta_variance_analytic's three squared kernel components."""
+    solid_angle's three rows, arc_length's scalar speed and
+    delta_variance_analytic's three squared kernel components."""
     seen = []
     integrate_path = quadrature.integrate_path
 
-    def capture(p, f):
+    def capture(f):
         seen.append(f)
-        return integrate_path(p, f)
+        return integrate_path(f)
 
     with monkeypatch.context() as m:
         m.setattr(holonomy, "integrate_path", capture)
         m.setattr(quadrature, "integrate_path", capture)
         holonomy.solid_angle(path)
         paths.arc_length(path)
-        if variance:
-            holonomy.delta_variance_analytic(path, NoiseSpec.uniform(0.01, 0.5), 1.0)
-    assert len(seen) == 2 + variance
+        holonomy.delta_variance_analytic(path, NoiseSpec.uniform(0.01, 0.5), 1.0)
+    assert len(seen) == 3
     return seen
 
 
@@ -96,7 +92,7 @@ def test_gauss_kronrod_matches_scipy_cubature(family, monkeypatch):
                 calls.append(s.size)
                 return f(s)
 
-            ours = quadrature.integrate_path(path, counted)
+            ours = quadrature.integrate_path(counted)
             ref = cubature(scipy_f, [0.0], [1.0], rtol=quadrature.RTOL, atol=quadrature.ATOL)
             assert ref.status == "converged"
             assert bits(ours) == bits(ref.estimate)
@@ -105,28 +101,3 @@ def test_gauss_kronrod_matches_scipy_cubature(family, monkeypatch):
             assert set(calls) == {31}
             assert len(calls) == 1 + 2 * ref.subdivisions
 
-
-def test_simpson_matches_scipy_on_perturbed_paths(monkeypatch):
-    grid = np.linspace(0.0, 30.0, 801)
-    rng = np.random.default_rng(14)
-    for index, family in enumerate(["latitude", "lune", "fourier"] * 2):
-        spec = NoiseSpec.uniform(0.01, 0.5, seed=int(rng.integers(1 << 30)))
-        path = perturb(random_path(family, rng), sample_realization(spec, grid, index))
-        s = quadrature._refine(path.grid)
-        assert s.size == 2 * grid.size - 1
-        forms, speed = integrands(path, monkeypatch, variance=False)
-        # delta_variance_analytic refuses a varying radius, so its integrand
-        # is written out; .T ** 2 leaves it Fortran-ordered.
-        kernel_sq = holonomy.angle_response_kernel(path, s).T ** 2
-        for y in (forms(s), kernel_sq, speed(s)):
-            assert bits(quadrature.integrate_path(path, lambda _, y=y: y)) == bits(
-                simpson(y, x=s))
-
-
-def test_simpson_matches_scipy_on_uneven_grids():
-    rng = np.random.default_rng(15)
-    for n in (3, 5, 101, 1001):
-        x = np.cumsum(rng.uniform(0.1, 2.0, n))
-        y = rng.standard_normal((3, n))
-        for values in (y, np.asfortranarray(y), y[1]):
-            assert bits(quadrature._simpson(values, x)) == bits(simpson(values, x=x))
