@@ -398,11 +398,6 @@ def run(config: RunConfig) -> int:
     propagator.MAX_STEPS steps in one propagation raises
     propagator.StepLimitError, which main reports as a config error.
     """
-    try:
-        # Parsed up front so that a bad value is a config error before any work.
-        experiments.threads_from_env()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = build_path(config)

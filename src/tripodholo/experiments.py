@@ -1,15 +1,12 @@
 """Monte Carlo and sweep harnesses.
 
 Everything here is reproducible: realization streams are keyed by (seed,
-index, axis), results are assembled in index order, and the reported
-statistics are bitwise independent of how many worker threads ran the
-ensemble.
+index, axis), and every ensemble runs in one loop, in index order, on the
+calling thread.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,30 +57,14 @@ class ScalingResult:
     results: tuple[MCResult, ...]
 
 
-def threads_from_env() -> int | None:
-    """Worker count from the THREADS environment variable; None when unset.
-
-    Raises ValueError, naming the variable, unless it is an integer >= 1.
-    """
-    env = os.environ.get("THREADS")
-    if env is None:
-        return None
-    try:
-        value = int(env)
-    except ValueError:
-        raise ValueError(f"THREADS must be an integer, got {env!r}") from None
-    if value < 1:
-        raise ValueError("THREADS must be >= 1")
-    return value
-
-
 def _mc_intervals(path: paths.ControlPath, spec: noise.NoiseSpec, period: float) -> float:
     """Interval count of the uniform grid resolving both the noise
     correlation and the drive.
 
     A whole number held as a float: a tiny tau makes it too large for any
-    grid, or infinite, so _mc_grid compares it with MAX_STEPS first and
-    _IntervalEngine caps it at COARSE_SEGMENTS.
+    grid, or infinite, so mc_delta checks the step count it implies against
+    MAX_STEPS before _mc_grid runs, and _IntervalEngine caps it at
+    COARSE_SEGMENTS.
     """
     dense = np.linspace(0.0, 1.0, 257)
     r_max = float(np.max(path.radius(dense)))
@@ -95,17 +76,9 @@ def _mc_intervals(path: paths.ControlPath, spec: noise.NoiseSpec, period: float)
 
 
 def _mc_grid(path: paths.ControlPath, spec: noise.NoiseSpec, period: float) -> np.ndarray:
-    """Uniform grid over one period with _mc_intervals intervals.
-
-    Raises StepLimitError, before any allocation, when the count exceeds
-    propagator.MAX_STEPS.
-    """
-    n = _mc_intervals(path, spec, period)
-    if not n <= propagator.MAX_STEPS:
-        raise propagator.StepLimitError(
-            f"{n:.6g} noise grid intervals exceed the limit of "
-            f"MAX_STEPS = {propagator.MAX_STEPS}")
-    return np.linspace(0.0, period, int(n) + 1)
+    """Uniform grid over one period with _mc_intervals intervals."""
+    # No MAX_STEPS check: mc_delta has already admitted a step count at least this.
+    return np.linspace(0.0, period, int(_mc_intervals(path, spec, period)) + 1)
 
 
 class _IntervalEngine:
@@ -153,8 +126,7 @@ class _IntervalEngine:
             for n_seg, a_blk in reversed(blocks):
                 # h[end] is final; run the recursion backward over the block.
                 start = end - n_seg
-                h[start:end + 1] = noise.lfilter(
-                    [1.0], [1.0, -a_blk], h[start:end + 1][::-1])[::-1]
+                h[start:end + 1] = noise.lfilter(a_blk, h[start:end + 1][::-1])[::-1]
                 end = start
             self.axes.append((axis, innov * h, res_w))
 
@@ -241,11 +213,8 @@ def mc_delta(path: paths.ControlPath, spec: noise.NoiseSpec, epsilon: float,
     ExcludedRealizationsError when fewer than two stay in.
 
     A first-order ensemble samples every pinning with _IntervalEngine,
-    which builds no dense noise grid, in a plain loop: each realization is a
-    few short numpy calls, so worker threads would only wait on each other.
-    A full-propagation ensemble runs on THREADS worker threads, or on
-    min(8, cpu count) when THREADS is unset. THREADS is validated in both
-    modes, and the result is the same at any count.
+    which builds no dense noise grid. Both modes run their realizations in
+    one loop, in index order, on the calling thread.
     """
     if mode not in MC_MODES:
         raise ValueError(f"mode must be one of {MC_MODES}")
@@ -255,13 +224,11 @@ def mc_delta(path: paths.ControlPath, spec: noise.NoiseSpec, epsilon: float,
     if n < 2:
         raise ValueError(f"n must be at least 2 to estimate a spread, got {n}")
     propagator._check_epsilon(epsilon)
-    n_workers = threads_from_env() or min(8, os.cpu_count() or 1)
     period = 1.0 / float(epsilon)
     if mode == "first_order":
         engine = _IntervalEngine(path, spec, period)
-
-        def one(idx: int) -> tuple[float, float]:
-            return engine(idx), 0.0
+        deltas = np.array([engine(idx) for idx in range(n)])
+        leakages = np.zeros(n)
     else:
         # Rejects an oversized ensemble, an infinite density too, before its
         # grid or noise exists.
@@ -270,8 +237,9 @@ def mc_delta(path: paths.ControlPath, spec: noise.NoiseSpec, epsilon: float,
         spu = int(spu)
         grid = _mc_grid(path, spec, period)
         omega_ref = holonomy.solid_angle(path).omega_canonical
-
-        def one(idx: int) -> tuple[float, float]:
+        deltas = np.empty(n)
+        leakages = np.empty(n)
+        for idx in range(n):
             real = noise.sample_realization(spec, grid, idx)
             try:
                 perturbed = paths.perturb(path, real)
@@ -280,20 +248,12 @@ def mc_delta(path: paths.ControlPath, spec: noise.NoiseSpec, epsilon: float,
                 # rejection left is a curve driven near the origin, where
                 # the gap collapses: exclude the realization, like a leaky
                 # one (NaN leakage is never within the limit).
-                return float("nan"), float("nan")
+                deltas[idx] = leakages[idx] = np.nan
+                continue
             u = propagator.evolve_lab(perturbed, float(epsilon), steps_per_unit_time=spu)
             gate = propagator.extract_logical_gate(u, path)
-            d = holonomy.canonical_angle(gate.angle_estimate - omega_ref)
-            return d, gate.leakage
-
-    indices = range(n)
-    if mode == "first_order" or n_workers == 1:
-        rows = [one(i) for i in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            rows = list(pool.map(one, indices))
-    deltas = np.array([r[0] for r in rows])
-    leakages = np.array([r[1] for r in rows])
+            deltas[idx] = holonomy.canonical_angle(gate.angle_estimate - omega_ref)
+            leakages[idx] = gate.leakage
     included = leakages <= propagator.LEAKAGE_LIMIT
     kept = deltas[included]
     n_kept = int(kept.size)

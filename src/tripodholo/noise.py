@@ -7,9 +7,8 @@ are reproducible: every (seed, realization index, axis) triple owns its own
 generator stream, so results never depend on evaluation order.
 
 The module needs numpy only. The chain is filtered by lfilter, a blocked
-first-order recursion in the call form of scipy's lfilter, and the
-exact bridge is conditioned by bridge_weight, which experiments'
-first-order engine shares.
+first-order recursion, and the exact bridge is conditioned by bridge_weight.
+experiments' first-order engine shares both.
 """
 
 from __future__ import annotations
@@ -84,23 +83,17 @@ _LAG = np.abs(np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK)))
 _UPPER = np.triu(np.ones((_BLOCK, _BLOCK), dtype=bool))
 
 
-def lfilter(b, a, x):
-    """The first-order recursion y[k] = x[k] + c y[k-1], from rest, in the
-    call form of scipy's lfilter([1.0], [1.0, -c], x).
+def lfilter(c: float, x) -> np.ndarray:
+    """The first-order recursion y[k] = x[k] + c y[k-1], from rest.
 
-    Raises ValueError for any other filter, and unless x is 1-d.
+    Raises ValueError unless x is 1-d.
     """
-    b = np.asarray(b, dtype=float)
-    a = np.asarray(a, dtype=float)
-    if b.shape != (1,) or b[0] != 1.0 or a.shape != (2,) or a[0] != 1.0:
-        raise ValueError("lfilter takes only the first-order filter "
-                         "b = [1.0], a = [1.0, -c]")
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("lfilter filters a 1-d array")
     # _ar1 recurses on the block ends; through it, not this name, so that a
     # wrapper of noise.lfilter sees one call per filtered array.
-    return _ar1(-float(a[1]), x)
+    return _ar1(float(c), x)
 
 
 def _ar1(c: float, x: np.ndarray) -> np.ndarray:
@@ -174,7 +167,7 @@ def sample_realization(spec: NoiseSpec, grid, index: int) -> NoiseRealization:
         # The bridge starts at zero, the other chains stationary.
         w = sigma * np.sqrt(1.0 - a * a) * z
         w[0] = 0.0 if spec.pinning == "exact-bridge" else sigma * z[0]
-        series = lfilter([1.0], [1.0, -a], w)
+        series = lfilter(a, w)
         if spec.pinning == "exact-bridge":
             # Condition the zero-started chain on ending at zero: subtract
             # the Gaussian projection onto the final value.

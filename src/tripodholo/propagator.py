@@ -35,8 +35,7 @@ from .paths import ControlPath
 
 
 class StepLimitError(ValueError):
-    """A propagation would need more than MAX_STEPS time steps, or a noise
-    grid more than MAX_STEPS intervals."""
+    """A propagation would need more than MAX_STEPS time steps."""
 
 
 #: Default time-grid density of a propagation, in steps per unit time.

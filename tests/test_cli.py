@@ -210,7 +210,7 @@ subcommand = holonomy
     assert (tmp_path / "hol" / "integrand.csv").exists()
 
 
-def test_noise_mc_run_and_thread_determinism(tmp_path, monkeypatch):
+def test_noise_mc_run_and_thread_determinism(tmp_path):
     text = """\
 [path]
 family = latitude
@@ -230,12 +230,11 @@ mode = first_order
 seed = 12
 """
     payloads = {}
-    for workers in ("1", "2", "8"):
-        monkeypatch.setenv("THREADS", workers)
-        out = tmp_path / f"mc{workers}"
+    for rerun in ("1", "2", "8"):
+        out = tmp_path / f"mc{rerun}"
         config = replace(cli.parse_config(text), out_dir=str(out))
         assert cli.run(config) == 0
-        payloads[workers] = (
+        payloads[rerun] = (
             (out / "summary.json").read_bytes(),
             (out / "realizations.csv").read_bytes(),
         )
@@ -454,13 +453,6 @@ def test_report_lines(tmp_path, capsys, subcommand):
     cfg.write_text(text.replace("subcommand = gate\n", ""), encoding="utf-8")
     assert cli.main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     assert capsys.readouterr().out.splitlines() == expected
-
-
-def test_threads_env_validation(tmp_path, monkeypatch):
-    cfg = tmp_path / "cfg.ini"
-    cfg.write_text(MINIMAL_GATE, encoding="utf-8")
-    monkeypatch.setenv("THREADS", "zero")
-    assert cli.main(["gate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
 
 
 def test_gate_step_count_past_the_ceiling_is_a_config_error(tmp_path, capsys):

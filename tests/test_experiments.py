@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 import warnings
 
@@ -17,7 +18,7 @@ from tripodholo import (
     scaling_study,
     timing_study,
 )
-from tripodholo.experiments import _IntervalEngine, _mc_grid, threads_from_env
+from tripodholo.experiments import MC_MODES, _IntervalEngine, _mc_grid
 from tripodholo import experiments, holonomy, noise as noise_mod, paths, propagator
 from oracles import chain_delta, spherical_splines
 
@@ -72,11 +73,9 @@ def test_mc_first_order_matches_analytic():
     assert abs(res.delta_mean) < 3.0 * res.std_error
 
 
-def test_mc_deterministic_across_workers(monkeypatch):
+def test_mc_deterministic_across_workers():
     spec = NoiseSpec.uniform(0.03, 0.2, seed=77)
-    monkeypatch.setenv("THREADS", "1")
     a = mc_delta(EQUATOR, spec, 0.05, 64, "first_order")
-    monkeypatch.setenv("THREADS", "4")
     b = mc_delta(EQUATOR, spec, 0.05, 64, "first_order")
     assert a.delta_std == b.delta_std
     assert a.delta_mean == b.delta_mean
@@ -381,15 +380,12 @@ def test_scaling_study_rejects_a_subnormal_tau_before_the_first_ensemble(monkeyp
                       n=10, mode="first_order")
 
 
-def test_interval_engine_skips_an_undriven_axis(monkeypatch):
+def test_interval_engine_skips_an_undriven_axis():
     # Anisotropic noise with no noise on the y axis; on this latitude loop
     # every axis enters the kernel, so the skipped axis would show.
     loop = latitude_loop(np.pi / 3)
     spec = NoiseSpec(sigma=(0.01, 0.0, 0.02), tau=0.05, seed=11)
-    runs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("THREADS", threads)
-        runs.append(mc_delta(loop, spec, 0.02, 2000, "first_order"))
+    runs = [mc_delta(loop, spec, 0.02, 2000, "first_order") for _ in range(2)]
     res = runs[0]
     assert abs(res.delta_std - res.analytic_delta) < 3.0 * res.std_error
     assert runs[1].deltas.tobytes() == res.deltas.tobytes()
@@ -421,7 +417,6 @@ def test_exact_bridge_weight_is_computed_once_per_axis_setting(monkeypatch):
     # The bridge weight depends only on the grid and tau: a full-propagation
     # ensemble computes it once per distinct tau, not per realization and
     # axis, and the deltas equal those drawn with the uncached weight.
-    monkeypatch.setenv("THREADS", "1")
     spec = NoiseSpec(sigma=(0.01, 0.01, 0.01), tau=(0.5, 0.5, 0.25),
                      pinning="exact-bridge", seed=13)
     n = 6
@@ -464,32 +459,17 @@ def test_analytic_delta_nan_for_varying_radius():
     assert res.delta_std > 0.0
 
 
-def test_first_order_ensembles_start_no_pool(monkeypatch):
-    # First-order ensembles, on a short grid (2000 intervals at tau 1) and a
-    # long one (tau 0.01), run in a plain loop at any THREADS.
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a first-order ensemble started a thread pool")
+def test_ensembles_start_no_thread(monkeypatch):
+    # Both Monte Carlo modes run their realizations in one loop on the
+    # calling thread.
+    def no_thread(self):
+        raise AssertionError("an ensemble started a thread")
 
-    monkeypatch.setattr(experiments, "ThreadPoolExecutor", no_pool)
-    monkeypatch.setenv("THREADS", "2")
-    for tau in (1.0, 0.01):
-        spec = NoiseSpec.uniform(0.01, tau, seed=2)
-        assert mc_delta(EQUATOR, spec, 0.05, 8, "first_order").delta_std > 0.0
-
-
-def test_threads_env_parsing(monkeypatch):
-    monkeypatch.delenv("THREADS", raising=False)
-    assert threads_from_env() is None
-    monkeypatch.setenv("THREADS", "3")
-    assert threads_from_env() == 3
-    spec = NoiseSpec(sigma=(0.01, 0.01, 0.0), tau=(1.0, 1.0, 1.0), seed=1)
-    for value, message in (("0", "THREADS must be >= 1"),
-                           ("zero", "THREADS must be an integer, got 'zero'")):
-        monkeypatch.setenv("THREADS", value)
-        with pytest.raises(ValueError, match=message):
-            threads_from_env()
-        with pytest.raises(ValueError, match=message):
-            mc_delta(EQUATOR, spec, 0.05, 4, "first_order")
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    spec = NoiseSpec.uniform(0.01, 0.5, seed=31)
+    for mode in MC_MODES:
+        res = mc_delta(EQUATOR, spec, 0.02, 4, mode)
+        assert res.n_excluded == 0 and res.delta_std > 0.0
 
 
 def test_full_propagation_step_ceiling_trips_before_any_noise(monkeypatch):

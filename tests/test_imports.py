@@ -116,12 +116,12 @@ def test_runs_without_scipy_installed(tmp_path):
 
 
 def test_first_scipy_signal_import_on_pool_threads_keeps_every_bit():
-    # Full propagation perturbs its first path on the pool, at THREADS=2 on
-    # two worker threads at once, which once made two threads import scipy
-    # together; the bytes must not depend on the thread count. (The name is
-    # older: scipy.signal, then scipy.interpolate and scipy.linalg, were
-    # that first import until the noise filter and the path perturbation
-    # became numpy's.)
+    # A full-propagation ensemble in two fresh interpreters gives the same
+    # bytes. (The name is older: ensembles once ran on a thread pool, where
+    # two threads could make the first scipy import together, and
+    # scipy.signal, then scipy.interpolate and scipy.linalg, were that
+    # import until the noise filter and the path perturbation became
+    # numpy's. Ensembles now run on the calling thread.)
     code = """
         import numpy as np
         from tripodholo import NoiseSpec, latitude_loop, mc_delta
@@ -130,4 +130,4 @@ def test_first_scipy_signal_import_on_pool_threads_keeps_every_bit():
         assert res.n_excluded == 0
         print(res.deltas.tobytes().hex())
     """
-    assert run_python(code, THREADS="2") == run_python(code, THREADS="1")
+    assert run_python(code) == run_python(code)

@@ -199,7 +199,7 @@ def test_blocked_ar1_filter_matches_the_recursion(n, c, seed):
     # largest step factor e^-0.2 up to a near random walk.
     x = np.random.default_rng(seed).standard_normal(n)
     ref = ar1_recursion(c, x)
-    out = noise.lfilter([1.0], [1.0, -c], x)
+    out = noise.lfilter(c, x)
     assert np.max(np.abs(out - ref)) <= 1e-14 * np.sqrt(np.mean(ref ** 2))
 
 

@@ -1,7 +1,7 @@
 """SHA-256 hashes of everything the CLI writes, over a fixed set of configs.
 
     python3 tools/artifact_hashes.py               # print `name sha256` lines
-    THREADS=2 python3 tools/artifact_hashes.py --base HEAD
+    python3 tools/artifact_hashes.py --base HEAD
 
 Each config of ``configs()`` runs through ``tripodholo.cli.main`` into a
 fresh directory, and one line ``<config>/<entry> <sha256>`` is printed for
@@ -18,8 +18,7 @@ is gone, so that ``--base`` still pairs them with older revisions.
 ``--base REV`` exports REV with ``bench_pairs.export_revision``, hashes the
 same configs against its ``src/`` and against this checkout's, each in its
 own process, prints only the entries that differ (``<name> <base> <change>``,
-``-`` for a missing entry) and exits 1 if any differ. ``THREADS`` is read
-from the environment as in any run, so set it to compare thread counts.
+``-`` for a missing entry) and exits 1 if any differ.
 """
 
 from __future__ import annotations
