@@ -205,16 +205,22 @@ def mc_delta(path: paths.ControlPath, spec: noise.NoiseSpec, epsilon: float,
     """Monte Carlo estimate of the angle-error spread Delta.
 
     first_order evaluates the linear response integral on each realization;
-    full_propagation perturbs the path, propagates it, and compares the
-    extracted angle with the unperturbed loop's angle; it needs pinned
-    noise, which closes the loop. Realizations that leak more than 10% of
-    the dark population are excluded and counted, and so are those that
-    drive the curve near the origin, with NaN delta and leakage. Raises
+    full_propagation perturbs the path, propagates it, and subtracts the
+    loop's geometric angle, solid_angle(path).omega_canonical, from the
+    extracted angle; it needs pinned noise, which closes the loop. The
+    nominal loop's own non-adiabatic offset is not subtracted, so it stays
+    in delta_mean. Realizations that leak more than 10% of the dark
+    population are excluded and counted, and so are those that drive the
+    curve near the origin, with NaN delta and leakage. Raises
     ExcludedRealizationsError when fewer than two stay in.
 
     A first-order ensemble samples every pinning with _IntervalEngine,
-    which builds no dense noise grid. Both modes run their realizations in
-    one loop, in index order, on the calling thread.
+    which builds no dense noise grid. A full-propagation ensemble evaluates
+    the nominal path once: its values at the noise grid's knots, and its
+    drive at each step-count grid and step midpoints the realizations'
+    propagations ask for; each realization still takes its own step count.
+    Both modes run their realizations in one loop, in index order, on the
+    calling thread.
     """
     if mode not in MC_MODES:
         raise ValueError(f"mode must be one of {MC_MODES}")
@@ -237,21 +243,25 @@ def mc_delta(path: paths.ControlPath, spec: noise.NoiseSpec, epsilon: float,
         spu = int(spu)
         grid = _mc_grid(path, spec, period)
         omega_ref = holonomy.solid_angle(path).omega_canonical
+        # The nominal path's values, once for every realization.
+        knots = paths._Knots(path, grid / grid[-1], remember=True)
+        basis = propagator.dark_basis_matrix(path)
         deltas = np.empty(n)
         leakages = np.empty(n)
         for idx in range(n):
             real = noise.sample_realization(spec, grid, idx)
             try:
-                perturbed = paths.perturb(path, real)
+                perturbed = paths.perturb(knots, real)
             except ValueError:
-                # Pinned noise is finite and closes the loop, so the one
-                # rejection left is a curve driven near the origin, where
-                # the gap collapses: exclude the realization, like a leaky
-                # one (NaN leakage is never within the limit).
+                # Pinned noise is finite and closes the loop, so the
+                # rejections left are a curve driven near the origin, where
+                # the gap collapses, and a path whose profiles fail at the
+                # knots: exclude the realization, like a leaky one (NaN
+                # leakage is never within the limit).
                 deltas[idx] = leakages[idx] = np.nan
                 continue
             u = propagator.evolve_lab(perturbed, float(epsilon), steps_per_unit_time=spu)
-            gate = propagator.extract_logical_gate(u, path)
+            gate = propagator._gate_in_basis(u, basis)
             deltas[idx] = holonomy.canonical_angle(gate.angle_estimate - omega_ref)
             leakages[idx] = gate.leakage
     included = leakages <= propagator.LEAKAGE_LIMIT

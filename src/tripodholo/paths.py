@@ -241,28 +241,77 @@ def fourier_path(theta_coeffs: Harmonics, phi_coeffs: Harmonics,
     )
 
 
+class _Knots:
+    """The nominal path's values that perturb adds a realization to, at the
+    knots s of its time grid: one per ensemble, shared by every realization.
+
+    It holds the outcome of the profile checks at the knots, the nominal
+    x = r xhat there as (3, len(s)) rows, and min r over ControlPath's check
+    grid. With remember, x(s) also keeps path.x at every array of s it is
+    asked for, so that the lab propagation of each perturbed drive reads the
+    nominal drive at its step-count grid and step midpoints from memory:
+    32 B per step (s and x), for each step count the realizations take. The
+    knots perturb builds for a single realization do not remember, so that
+    its propagation's memory does not grow with the step count.
+    """
+
+    def __init__(self, path: ControlPath, s: np.ndarray, remember: bool = False):
+        self.path = path
+        self.s = s
+        #: The profile check's message, raised by perturb in its place among
+        #: the other checks; xr and r_min stay None when it is set.
+        self.error = self.xr = self.r_min = None
+        self._memo = {} if remember else None
+        th, ph, r = path.spherical(s)
+        # ControlPath checks its profiles on a fixed grid; the knots may fall
+        # between its points.
+        try:
+            _check_profiles(s, th, ph, r)
+        except ValueError as exc:
+            self.error = str(exc)
+            return
+        self.xr = r * _unit_vector(th, ph, axis=0)
+        self.r_min = float(np.min(path.radius(np.linspace(0.0, 1.0, 1025))))
+
+    def x(self, s: np.ndarray) -> np.ndarray:
+        """path.x(s), from memory when s equals an array asked for before."""
+        if self._memo is None:
+            return self.path.x(s)
+        key = (s.shape, s.flat[0], s.flat[-1])
+        hit = self._memo.get(key)
+        if hit is not None and np.array_equal(hit[0], s):
+            return hit[1]
+        x = self.path.x(s)
+        x.flags.writeable = False
+        self._memo[key] = (s.copy(), x)
+        return x
+
+
 @dataclass(frozen=True, eq=False)
 class _PerturbedDrive:
     """Drive x(s) = path.x(s) + dx(s), with dx taken linearly between the
     knots it is given at: the drive perturb returns. It has the two members
     a propagation reads, x and radius."""
 
-    path: ControlPath
-    #: The knots s = t / t[-1] of the realization's time grid.
-    grid: np.ndarray
+    knots: _Knots
     #: The perturbation at the knots, one row per axis: shape (3, len(grid)).
     dx: np.ndarray
+
+    @property
+    def grid(self) -> np.ndarray:
+        """The knots s = t / t[-1] of the realization's time grid."""
+        return self.knots.s
 
     def x(self, s):
         s = np.asarray(s, dtype=float)
         shift = np.stack([np.interp(s, self.grid, row) for row in self.dx], axis=-1)
-        return self.path.x(s) + shift
+        return self.knots.x(s) + shift
 
     def radius(self, s):
         return np.linalg.norm(self.x(s), axis=-1)
 
 
-def perturb(path: ControlPath, realization) -> _PerturbedDrive:
+def perturb(path: ControlPath | _Knots, realization) -> _PerturbedDrive:
     """The drive x' = x + dx of the path with the realization's Cartesian
     perturbation added.
 
@@ -274,6 +323,10 @@ def perturb(path: ControlPath, realization) -> _PerturbedDrive:
     ControlPath's checks at the knots. Perturbations that drive the curve
     near the origin (|x'| < 0.1 min r at a knot) are rejected because the
     spectral gap would collapse.
+
+    An ensemble passes the _Knots of its grid in place of the path, so that
+    the nominal values are evaluated once for all its realizations; a path,
+    or knots of another grid, gets knots built here.
     """
     t = np.asarray(realization.grid, dtype=float)
     dx = np.asarray(realization.dx, dtype=float)
@@ -287,22 +340,24 @@ def perturb(path: ControlPath, realization) -> _PerturbedDrive:
     s = t / t[-1]
     if s.size < 4 or not np.all(np.diff(s) > 0.0):
         raise ValueError("realization grid must hold at least 4 increasing times")
-    th, ph, r = path.spherical(s)
-    # ControlPath checks its profiles on a fixed grid; the knots may fall
-    # between its points.
-    _check_profiles(s, th, ph, r)
+    knots = path
+    if not isinstance(knots, _Knots):
+        knots = _Knots(path, s)
+    elif not np.array_equal(knots.s, s):
+        knots = _Knots(knots.path, s)
+    if knots.error is not None:
+        raise ValueError(knots.error)
     # On contiguous (3, n) rows: x is path.x(s) + dx, transposed, to the bit.
     dx = np.ascontiguousarray(dx.T)
-    x = r * _unit_vector(th, ph, axis=0) + dx
+    x = knots.xr + dx
     rr = np.linalg.norm(x, axis=0)
-    r_min = float(np.min(path.radius(np.linspace(0.0, 1.0, 1025))))
-    if np.min(rr) < 0.1 * r_min:
+    if np.min(rr) < 0.1 * knots.r_min:
         raise ValueError("perturbation drives the curve too close to the origin")
     if np.linalg.norm(x[:, 0] / rr[0] - x[:, -1] / rr[-1]) > _CLOSURE_TOL:
         raise ValueError(
             "realization breaks unit-vector periodicity; use a pinned realization"
         )
-    return _PerturbedDrive(path, s, dx)
+    return _PerturbedDrive(knots, dx)
 
 
 def shadow_speed(theta, theta_dot, phi_dot):

@@ -280,10 +280,16 @@ def dark_basis_matrix(path: ControlPath) -> np.ndarray:
 
 def extract_logical_gate(u: np.ndarray, path: ControlPath) -> ExtractedGate:
     """Project a propagator onto the initial dark plane of the path."""
+    return _gate_in_basis(u, dark_basis_matrix(path))
+
+
+def _gate_in_basis(u: np.ndarray, basis: np.ndarray) -> ExtractedGate:
+    """extract_logical_gate with the path's dark_basis_matrix given, so that
+    an ensemble takes it once."""
     u = np.asarray(u, dtype=complex)
     if not np.all(np.isfinite(u)):
         raise ValueError("propagator has non-finite entries")
-    b = dark_basis_matrix(path).astype(complex)
+    b = basis.astype(complex)
     m = b.conj().T @ u @ b
     leakage = max(0.0, 1.0 - 0.5 * float(np.trace(m.conj().T @ m).real))
     re = m.real

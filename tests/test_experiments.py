@@ -18,7 +18,7 @@ from tripodholo import (
     scaling_study,
     timing_study,
 )
-from tripodholo.experiments import MC_MODES, _IntervalEngine, _mc_grid
+from tripodholo.experiments import MC_MODES, _IntervalEngine, _mc_grid, _mc_intervals
 from tripodholo import experiments, holonomy, noise as noise_mod, paths, propagator
 from oracles import chain_delta, spherical_splines
 
@@ -73,7 +73,7 @@ def test_mc_first_order_matches_analytic():
     assert abs(res.delta_mean) < 3.0 * res.std_error
 
 
-def test_mc_deterministic_across_workers():
+def test_mc_deterministic_across_reruns():
     spec = NoiseSpec.uniform(0.03, 0.2, seed=77)
     a = mc_delta(EQUATOR, spec, 0.05, 64, "first_order")
     b = mc_delta(EQUATOR, spec, 0.05, 64, "first_order")
@@ -470,6 +470,74 @@ def test_ensembles_start_no_thread(monkeypatch):
     for mode in MC_MODES:
         res = mc_delta(EQUATOR, spec, 0.02, 4, mode)
         assert res.n_excluded == 0 and res.delta_std > 0.0
+
+
+def _rest_to_rest_equator():
+    """Criterion 09's loop: the equator, traversed from rest to rest."""
+    return fourier_path(Harmonics(np.pi / 2), Harmonics(0.0, slope=2 * np.pi, sin=(-1.0,)),
+                        Harmonics(1.0))
+
+
+def test_full_propagation_equals_the_public_route_per_index():
+    # Each full-propagation delta and leakage is, to the bit, what the public
+    # route gives realization by realization: sample_realization, perturb on
+    # the path, evolve_lab at the ensemble's density, extract_logical_gate,
+    # minus the geometric angle. At r0 = 30 every realization takes more
+    # steps than the nominal loop would.
+    sixty = latitude_loop(np.pi / 3)
+    cases = [
+        (_rest_to_rest_equator(), NoiseSpec.uniform(0.01, 0.05, seed=99), 0.02),
+        (sixty, NoiseSpec.uniform(0.01, 0.5, pinning="exact-bridge", seed=9), 0.05),
+        (fourier_path(Harmonics(1.2, sin=(0.25,)), Harmonics(0.0, slope=2 * np.pi, sin=(0.2,)),
+                      Harmonics(1.0, slope=0.5)),
+         NoiseSpec.uniform(0.01, 0.5, pinning="exact-bridge", seed=12), 0.02),
+        (latitude_loop(np.pi / 3, r0=30.0), NoiseSpec.uniform(0.01, 0.1, seed=13), 0.05),
+    ]
+    n = 4
+    for path, spec, eps in cases:
+        res = mc_delta(path, spec, eps, n, "full_propagation")
+        period = 1.0 / eps
+        grid = _mc_grid(path, spec, period)
+        spu = int(np.ceil(_mc_intervals(path, spec, period) / period))
+        omega_ref = holonomy.solid_angle(path).omega_canonical
+        deltas, leakages, counts = np.empty(n), np.empty(n), set()
+        for idx in range(n):
+            drive = paths.perturb(path, noise_mod.sample_realization(spec, grid, idx))
+            counts.add(propagator._effective_steps(drive, eps, spu))
+            u = propagator.evolve_lab(drive, eps, steps_per_unit_time=spu)
+            gate = propagator.extract_logical_gate(u, path)
+            deltas[idx] = holonomy.canonical_angle(gate.angle_estimate - omega_ref)
+            leakages[idx] = gate.leakage
+        assert np.array_equal(res.deltas, deltas)
+        assert np.array_equal(res.leakages, leakages)
+        nominal = propagator._effective_steps(path, eps, spu)
+        assert (nominal not in counts) == (path.radius(0.0) == 30.0)
+
+
+def test_full_propagation_evaluates_the_nominal_path_once_per_ensemble():
+    # The nominal loop's profiles are evaluated as often for 8 realizations
+    # as for 4: every realization reads its knot, step-count and midpoint
+    # values from the ensemble.
+    calls = [0]
+
+    def counted(fn):
+        def wrapped(s):
+            calls[0] += 1
+            return fn(s)
+        return wrapped
+
+    base = _rest_to_rest_equator()
+    path = paths.ControlPath(*(
+        paths.Profile(fn=counted(p), dfn=counted(p.derivative))
+        for p in (base.theta, base.phi, base.radius)))
+    spec = NoiseSpec.uniform(0.01, 0.05, seed=7)
+    made = []
+    for n in (4, 8):
+        calls[0] = 0
+        res = mc_delta(path, spec, 0.02, n, "full_propagation")
+        assert res.n_excluded == 0
+        made.append(calls[0])
+    assert made[0] == made[1]
 
 
 def test_full_propagation_step_ceiling_trips_before_any_noise(monkeypatch):

@@ -115,13 +115,9 @@ def test_runs_without_scipy_installed(tmp_path):
     assert json.loads(out) == [0] * len(configs)
 
 
-def test_first_scipy_signal_import_on_pool_threads_keeps_every_bit():
+def test_full_propagation_keeps_every_bit_in_fresh_interpreters():
     # A full-propagation ensemble in two fresh interpreters gives the same
-    # bytes. (The name is older: ensembles once ran on a thread pool, where
-    # two threads could make the first scipy import together, and
-    # scipy.signal, then scipy.interpolate and scipy.linalg, were that
-    # import until the noise filter and the path perturbation became
-    # numpy's. Ensembles now run on the calling thread.)
+    # bytes.
     code = """
         import numpy as np
         from tripodholo import NoiseSpec, latitude_loop, mc_delta

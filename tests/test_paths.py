@@ -11,8 +11,11 @@ from tripodholo import (
     latitude_loop,
     lune_path,
     perturb,
+    mc_delta,
     sample_realization,
 )
+from tripodholo.experiments import ExcludedRealizationsError, _mc_grid
+from tripodholo.paths import _Knots
 
 
 class FakeRealization:
@@ -262,6 +265,45 @@ def test_perturb_names_a_non_finite_knot_off_the_check_grid():
     )
     with pytest.raises(ValueError, match="theta profile is not finite at s = 0.0015$"):
         perturb(path, FakeRealization(grid, np.zeros((grid.size, 3))))
+
+
+def test_a_knot_the_profiles_fail_excludes_every_realization():
+    # A path that constructs but is NaN at a knot of the noise grid: perturb
+    # rejects each realization in its turn, so the ensemble is left empty.
+    eps, spec = 0.02, NoiseSpec.uniform(0.01, 0.5, seed=0)
+    base = latitude_loop(1.0)
+    assert mc_delta(base, spec, eps, 2, "full_propagation").n_excluded == 0
+    knots = _mc_grid(base, spec, 1.0 / eps)
+    bad = knots[3] / knots[-1]
+    assert bad not in np.linspace(0.0, 1.0, 1025)
+    path = ControlPath(
+        theta=Profile(fn=lambda s: np.where(s == bad, np.nan, 1.0), dfn=np.zeros_like),
+        phi=base.phi,
+        radius=base.radius,
+    )
+    with pytest.raises(ExcludedRealizationsError, match="2 of 2 excluded"):
+        mc_delta(path, spec, eps, 2, "full_propagation")
+    with pytest.raises(ValueError, match="theta profile is not finite at s = 0.0015$"):
+        perturb(_Knots(path, knots / knots[-1]),
+                FakeRealization(knots, np.zeros((knots.size, 3))))
+
+
+def test_perturb_on_shared_knots_matches_perturb_on_the_path():
+    # Knots shared across realizations give the drive perturb builds from
+    # the path, to the bit, on their own grid and, rebuilt, on another;
+    # the second drive on the same grid reads the nominal x from memory.
+    path = latitude_loop(1.0, 1.0)
+    spec = NoiseSpec.uniform(0.03, 0.5, seed=21)
+    grid = np.linspace(0.0, 40.0, 2001)
+    knots = _Knots(path, grid / grid[-1], remember=True)
+    s = np.linspace(0.0, 1.0, 257)
+    for other in (grid, np.linspace(0.0, 40.0, 1001)):
+        for idx in range(2):
+            real = sample_realization(spec, other, idx)
+            shared, own = perturb(knots, real), perturb(path, real)
+            assert np.array_equal(shared.grid, own.grid)
+            assert np.array_equal(shared.x(s), own.x(s))
+            assert np.array_equal(shared.radius(s[::2]), own.radius(s[::2]))
 
 
 def test_x_and_xhat_follow_the_profiles():

@@ -12,8 +12,11 @@ covers all six subcommands: the 36 ``Gate`` benchmark inputs at seed 1234,
 routes (the interval engine in first order, for every pinning and down to
 tau 1e-160; full propagation on latitude loops, a lune and a fourier path),
 the three fitted studies with ``scaling`` in both modes, and runs that exit
-2 or 3. Two entry names keep ``direct`` from a dense first-order route that
-is gone, so that ``--base`` still pairs them with older revisions.
+2 or 3. ``noise-mc-full-wide-radius`` runs full propagation on the 60 degree
+latitude at r0 = 30, where every realization takes more steps than the
+nominal loop would. Two entry names keep ``direct`` from a dense first-order
+route that is gone, so that ``--base`` still pairs them with older
+revisions.
 
 ``--base REV`` exports REV with ``bench_pairs.export_revision``, hashes the
 same configs against its ``src/`` and against this checkout's, each in its
@@ -78,6 +81,9 @@ def configs() -> dict[str, tuple[str, str]]:
         "noise-mc-full-bridge": ("noise-mc", _ini(
             SIXTY, "n = 100\nmode = full_propagation\nseed = 9", "epsilon = 0.05",
             "sigma = 0.01\ntau = 0.5\npinning = exact-bridge")),
+        "noise-mc-full-wide-radius": ("noise-mc", _ini(
+            SIXTY + "r0 = 30", "n = 100\nmode = full_propagation\nseed = 13",
+            "epsilon = 0.05", "sigma = 0.01\ntau = 0.1")),
         "noise-mc-full-lune": ("noise-mc", _ini(
             "family = lune\ndphi = 2.0\ndelta = 0.3",
             "n = 100\nmode = full_propagation\nseed = 11", "epsilon = 0.02",
