@@ -19,7 +19,6 @@ from .experiments import (
 )
 from .holonomy import (
     SolidAngleReport,
-    ThickBoundaryReport,
     canonical_angle,
     connection,
     delta_omega_first_order,
@@ -27,7 +26,6 @@ from .holonomy import (
     gate_from_connection,
     ideal_gate,
     solid_angle,
-    thick_boundary_area,
 )
 from .noise import (
     NoiseRealization,
@@ -40,7 +38,6 @@ from .paths import (
     ControlPath,
     Harmonics,
     Profile,
-    arc_length,
     fourier_path,
     latitude_loop,
     lune_path,
@@ -55,14 +52,11 @@ from .propagator import (
 )
 from .tripod import (
     Frame,
-    SpectralDecomp,
     d_rotation,
     frame,
-    hamiltonian,
     j_generators,
     r_rotation,
     rotation_generator,
-    spectral,
 )
 
 __version__ = "0.1.0"

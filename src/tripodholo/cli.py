@@ -4,8 +4,8 @@ Configs are INI-style sections of key = value lines with flat types only
 (finite numbers, strings, comma-separated number lists). Every run writes a
 summary.json (schema_version 1), CSV data files with a fixed header, and
 two-column plot-data files for fitted laws; all of them are byte-identical
-across reruns and worker-thread counts. Wall-clock metadata lives apart in
-run_meta.json, which carries the only timestamp.
+across reruns. Wall-clock metadata lives apart in run_meta.json, which
+carries the only timestamp.
 
 Exit codes: 0 success, 2 config error, 3 numerical-contract violation,
 4 I/O error.
@@ -311,6 +311,9 @@ def parse_config(text: str, subcommand: str | None = None) -> RunConfig:
     if sub == "scaling" and max(eps_grid) / min(eps_grid) < 10.0:
         exp._fail(grid_key, f"the scaling study needs epsilon to span at least "
                             f"one decade, got {min(eps_grid):g} to {max(eps_grid):g}")
+    if sub == "scaling" and sigma0 == 0.0:
+        exp._fail("sigma0", "the scaling study needs sigma0 > 0: noiseless "
+                            "ensembles leave no spread to fit a power law to")
     if sub == "scaling" and tau0 * min(eps_grid) ** p < noise._TAU_MIN:
         exp._fail("tau0", f"tau = tau0 * min(epsilon)^p = {tau0 * min(eps_grid) ** p:g} "
                           f"is below the smallest normal float {noise._TAU_MIN!r}")

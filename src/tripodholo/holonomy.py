@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tripod
-from .paths import ControlPath, arc_length, shadow_speed
+from .paths import ControlPath, shadow_speed
 from .quadrature import integrate_path
 
 
@@ -42,7 +42,8 @@ class SolidAngleReport:
     the vector-potential picture. They differ by 2 pi times the winding
     number, so the gate matrix is identical either way. omega_canonical is
     omega_cos reduced to (-pi, pi] for reporting. arc_length is the length
-    of the loop's unit-sphere shadow, as paths.arc_length gives it.
+    of the loop's unit-sphere shadow, the integral of |d x^/ds| over the
+    loop, which does not depend on the parametrization.
     """
 
     omega_cos: float
@@ -144,32 +145,3 @@ def delta_variance_analytic(path: ControlPath, spec, period: float) -> float:
     weights = np.asarray(spec.tau, dtype=float) * np.asarray(spec.sigma, dtype=float) ** 2
     per_axis = integrate_path(lambda s: angle_response_kernel(path, s).T ** 2)
     return float(np.dot(weights, per_axis)) / float(period)
-
-
-@dataclass(frozen=True)
-class ThickBoundaryReport:
-    """Geometric reading of the noise variance: a boundary strip of width
-    sigma along the loop, correlated over corr_length."""
-
-    area: float
-    delta_sq: float
-    corr_length: float
-
-
-def thick_boundary_area(path: ControlPath, sigma: float, tau: float,
-                        period: float) -> ThickBoundaryReport:
-    """Strip area sigma*L, correlation length tau*L/period, and their product
-    with sigma, which reproduces the constant-speed variance tau sigma^2 L^2 / T.
-
-    Reference physics: the paper's "thick boundary" reading of the variance,
-    kept for users and checked against delta_variance_analytic; no route of
-    the library calls it.
-    """
-    length = arc_length(path)
-    area = float(sigma) * length
-    corr_length = float(tau) * length / float(period)
-    return ThickBoundaryReport(
-        area=area,
-        delta_sq=corr_length * float(sigma) * area,
-        corr_length=corr_length,
-    )

@@ -365,14 +365,3 @@ def shadow_speed(theta, theta_dot, phi_dot):
     unit-sphere shadow, from theta and the derivatives theta', phi' at the
     same points."""
     return np.sqrt(theta_dot ** 2 + (np.sin(theta) * phi_dot) ** 2)
-
-
-def arc_length(path: ControlPath) -> float:
-    """Length of the unit-sphere shadow, invariant under reparametrization."""
-    from .quadrature import integrate_path
-
-    def speed(s):
-        return shadow_speed(path.theta(s), path.theta.derivative(s),
-                            path.phi.derivative(s))
-
-    return integrate_path(speed)

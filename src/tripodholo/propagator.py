@@ -263,7 +263,10 @@ class ExtractedGate:
 
     leakage = 1 - tr(M^dag M)/2 is the probability lost from the dark plane;
     the angle estimate projects the block onto the nearest plane rotation
-    and is only meaningful when leakage is small.
+    and is only meaningful when leakage is small. On a loop that stops while
+    still moving, noise leaves a bright amplitude at t = T that shifts the
+    angle estimate linearly in sigma, and leakage does not separate that
+    shift from the geometric one; see the README's Validity notes.
     """
 
     block: np.ndarray
@@ -279,7 +282,11 @@ def dark_basis_matrix(path: ControlPath) -> np.ndarray:
 
 
 def extract_logical_gate(u: np.ndarray, path: ControlPath) -> ExtractedGate:
-    """Project a propagator onto the initial dark plane of the path."""
+    """Project a propagator onto the initial dark plane of the path.
+
+    A bare projection: bright amplitude left at t = T moves angle_estimate
+    (see ExtractedGate).
+    """
     return _gate_in_basis(u, dark_basis_matrix(path))
 
 

@@ -24,70 +24,6 @@ def embed3(v) -> np.ndarray:
     return out
 
 
-def hamiltonian(x) -> np.ndarray:
-    """Tripod Hamiltonian for drive vector x: first row/column carry x."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (3,):
-        raise ValueError("x must be a real 3-vector")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x must be finite")
-    h = np.zeros((4, 4))
-    h[0, 1:] = x
-    h[1:, 0] = x
-    return h
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralDecomp:
-    """Exact spectral data of the tripod Hamiltonian at one drive vector.
-
-    Eigenvalues are {+r, -r, 0, 0}. The bright states e_pm mix the ground
-    level with the drive direction; the dark basis spans the zero-energy
-    plane and is chosen as the tangent-frame vectors (e_theta, e_phi) of the
-    drive direction, embedded with zero ground component.
-    """
-
-    r: float
-    e_plus: np.ndarray
-    e_minus: np.ndarray
-    dark_basis: tuple[np.ndarray, np.ndarray]
-    p_plus: np.ndarray
-    p_minus: np.ndarray
-    p_zero: np.ndarray
-
-
-def spectral(x) -> SpectralDecomp:
-    """Spectral decomposition of hamiltonian(x); rejects |x| = 0."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (3,):
-        raise ValueError("x must be a real 3-vector")
-    r = float(np.linalg.norm(x))
-    if r == 0.0:
-        raise ValueError("|x| = 0 is fully degenerate; no spectral frame defined")
-    xhat = x / r
-    e0 = np.zeros(4)
-    e0[0] = 1.0
-    u = embed3(xhat)
-    e_plus = (u + e0) / np.sqrt(2.0)
-    e_minus = (u - e0) / np.sqrt(2.0)
-    theta = float(np.arccos(np.clip(xhat[2], -1.0, 1.0)))
-    phi = float(np.arctan2(xhat[1], xhat[0]))
-    f = frame(theta, phi)
-    dark = (embed3(f.etheta), embed3(f.ephi))
-    p_plus = np.outer(e_plus, e_plus)
-    p_minus = np.outer(e_minus, e_minus)
-    p_zero = np.eye(4) - p_plus - p_minus
-    return SpectralDecomp(
-        r=r,
-        e_plus=e_plus,
-        e_minus=e_minus,
-        dark_basis=dark,
-        p_plus=p_plus,
-        p_minus=p_minus,
-        p_zero=p_zero,
-    )
-
-
 def j_generators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rotation generators (J1, J2, J3) acting on the excited triplet.
 

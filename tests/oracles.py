@@ -2,11 +2,13 @@
 
 These deliberately avoid the library's own routes: brute-force series
 exponentials, dense-grid quadrature, the Hamilton product written term by
-term, and the tripod steps as closed-form 4x4 complex matrices
-(step_matrices), which the library itself only ever builds as quaternions,
-a perturbed loop as three scalar cubic splines of its spherical profiles
-(spherical_splines), where the library adds the noise to the Cartesian
-drive linearly between its knots, and the noise chains run forward one point at a time (ar1_recursion, chain_delta),
+term, the tripod Hamiltonian as a dense 4x4 matrix (hamiltonian) with the
+projector onto its zero-energy plane (dark_projector), the tripod steps as
+closed-form 4x4 complex matrices (step_matrices), which the library itself
+only ever builds as quaternions, a perturbed loop as three scalar cubic
+splines of its spherical profiles (spherical_splines), where the library
+adds the noise to the Cartesian drive linearly between its knots, and the
+noise chains run forward one point at a time (ar1_recursion, chain_delta),
 which the library filters in blocks and, in first order, runs backward.
 None of them imports tripodholo; test_oracles_import_nothing_from_the_library
 checks that.
@@ -47,6 +49,23 @@ def hamilton(p, q) -> np.ndarray:
         p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1,
         p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0,
     ])
+
+
+def hamiltonian(x) -> np.ndarray:
+    """Dense tripod Hamiltonian H = x . b: the ground row and column carry x."""
+    h = np.zeros((4, 4))
+    h[0, 1:] = x
+    h[1:, 0] = x
+    return h
+
+
+def dark_projector(x) -> np.ndarray:
+    """Projector onto the kernel of hamiltonian(x) for x != 0:
+    diag(0, 1 - x^ x^T), the excited triplet orthogonal to the drive."""
+    xhat = np.asarray(x, dtype=float) / np.linalg.norm(x)
+    p = np.zeros((4, 4))
+    p[1:, 1:] = np.eye(3) - np.outer(xhat, xhat)
+    return p
 
 
 def step_matrices(xs, dts) -> np.ndarray:

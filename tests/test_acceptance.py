@@ -12,6 +12,8 @@ import tripodholo as th
 from tripodholo import cli
 from tripodholo.propagator import dark_basis_matrix
 
+from oracles import dark_projector
+
 
 def _report(capsys, num: int, ok: bool, elapsed: float, detail: str) -> None:
     with capsys.disabled():
@@ -81,7 +83,7 @@ def test_criterion_03_frame_duality(capsys):
 def test_criterion_04_connection_equivalence(capsys):
     start = time.time()
     _, path = _fourier_pair()
-    p0 = th.spectral(path.x(0.0)).p_zero.astype(complex)
+    p0 = dark_projector(path.x(0.0)).astype(complex)
 
     def fd_form(s, h):
         rp = th.r_rotation(path, s + h).astype(complex)

@@ -560,9 +560,11 @@ def test_non_finite_config_values_are_config_errors(tmp_path, capsys, subcommand
     ("scaling", "epsilon_grid = 0.01, 0.02, 0.03, 0.04", "epsilon_grid"),
     ("scaling", "epsilon_grid = 0.1, 0.5, 1.0, 2.0", "epsilon_grid"),
     ("scaling", "epsilon_min = 0.1\nepsilon_max = 2.0", "epsilon_max"),
+    ("scaling", "n = 100\np = 1\nq = 1\nsigma0 = 0\n"
+                "epsilon_grid = 0.02, 0.04, 0.08, 0.2", "sigma0"),
     ("timing", "delta_t = 60", "delta_t"),
 ], ids=["scaling-span", "scaling-epsilon-above-1", "scaling-resolved-grid",
-        "timing-delta_t"])
+        "scaling-sigma0-zero", "timing-delta_t"])
 def test_study_preconditions_are_config_errors(tmp_path, capsys, subcommand,
                                                experiment, key):
     cfg = tmp_path / "cfg.ini"

@@ -6,7 +6,6 @@ from tripodholo import (
     Harmonics,
     NoiseSpec,
     Profile,
-    arc_length,
     canonical_angle,
     connection,
     delta_omega_first_order,
@@ -18,12 +17,10 @@ from tripodholo import (
     lune_path,
     r_rotation,
     solid_angle,
-    spectral,
-    thick_boundary_area,
 )
 from tripodholo.experiments import fit_power_law
 from tripodholo.quadrature import integrate_path
-from oracles import spherical_splines
+from oracles import dark_projector, spherical_splines
 
 
 GENERIC_FOURIER = fourier_path(
@@ -70,9 +67,12 @@ def test_winding_identity_on_families():
 
 
 def test_solid_angle_reports_the_arc_length_in_the_same_integral():
-    for path in (latitude_loop(1.1), lune_path(np.pi / 2, 1e-3), GENERIC_FOURIER):
-        assert solid_angle(path).arc_length == pytest.approx(arc_length(path),
-                                                             rel=0.0, abs=1e-12)
+    # The lune's exact length: two meridian legs between colatitudes delta
+    # and pi/2, the equator arc dphi and the closing arc dphi sin(delta).
+    delta = 1e-3
+    for dphi in (np.pi / 2, 1.1):
+        assert solid_angle(lune_path(dphi, delta)).arc_length == pytest.approx(
+            2 * (np.pi / 2 - delta) + dphi * (1 + np.sin(delta)), rel=1e-12)
     assert solid_angle(latitude_loop(1.1)).arc_length == pytest.approx(
         2 * np.pi * np.sin(1.1), rel=1e-12)
 
@@ -126,7 +126,7 @@ def test_connection_meridian_zero():
 
 def test_connection_matches_finite_difference():
     path = GENERIC_FOURIER
-    p0 = spectral(path.x(0.0)).p_zero.astype(complex)
+    p0 = dark_projector(path.x(0.0)).astype(complex)
 
     def fd_form(s, h):
         rp = r_rotation(path, s + h).astype(complex)
@@ -252,18 +252,6 @@ def test_delta_variance_rejects_varying_radius():
     )
     with pytest.raises(ValueError, match="constant"):
         delta_variance_analytic(path, NoiseSpec.uniform(0.1, 0.1), 10.0)
-
-
-def test_thick_boundary_consistency():
-    sigma, tau, period = 0.01, 0.3, 200.0
-    for theta0 in (np.pi / 2, np.pi / 3):
-        path = latitude_loop(theta0, 1.0)
-        tb = thick_boundary_area(path, sigma, tau, period)
-        assert tb.area == pytest.approx(2 * np.pi * sigma * np.sin(theta0), rel=1e-8)
-        var = delta_variance_analytic(path, NoiseSpec.uniform(sigma, tau), period)
-        assert tb.delta_sq == pytest.approx(var, abs=1e-10)
-    tb = thick_boundary_area(latitude_loop(np.pi / 2), 0.01, tau, period)
-    assert tb.area == pytest.approx(0.02 * np.pi, rel=1e-8)
 
 
 def test_anisotropic_variance_component_faithful():

@@ -6,13 +6,13 @@ from tripodholo import (
     Harmonics,
     NoiseSpec,
     Profile,
-    arc_length,
     fourier_path,
     latitude_loop,
     lune_path,
     perturb,
     mc_delta,
     sample_realization,
+    solid_angle,
 )
 from tripodholo.experiments import ExcludedRealizationsError, _mc_grid
 from tripodholo.paths import _Knots
@@ -325,9 +325,9 @@ def test_x_and_xhat_follow_the_profiles():
 
 
 def test_arc_length_latitudes():
-    assert arc_length(latitude_loop(np.pi / 2, 1.0)) == pytest.approx(2 * np.pi)
+    assert solid_angle(latitude_loop(np.pi / 2, 1.0)).arc_length == pytest.approx(2 * np.pi)
     for theta0, r0 in [(np.pi / 3, 1.0), (np.pi / 3, 2.5), (0.4, 0.7)]:
-        assert arc_length(latitude_loop(theta0, r0)) == pytest.approx(
+        assert solid_angle(latitude_loop(theta0, r0)).arc_length == pytest.approx(
             2 * np.pi * np.sin(theta0), rel=1e-8)
 
 
@@ -338,7 +338,7 @@ def test_arc_length_reparametrization_invariance():
                     dfn=lambda s: 6 * np.pi * np.asarray(s, float) ** 2),
         radius=Profile(fn=np.ones_like, dfn=np.zeros_like),
     )
-    assert arc_length(cubic) == pytest.approx(2 * np.pi, rel=1e-8)
+    assert solid_angle(cubic).arc_length == pytest.approx(2 * np.pi, rel=1e-8)
 
 
 def test_control_path_validation():

@@ -17,9 +17,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.transform import Rotation
 
-from tripodholo import (ControlPath, Harmonics, Profile, arc_length, evolve_lab,
-                        evolve_moving, extract_logical_gate, fourier_path, noise, paths,
-                        solid_angle, tripod)
+from tripodholo import (ControlPath, Harmonics, Profile, evolve_lab, evolve_moving,
+                        extract_logical_gate, fourier_path, noise, paths, solid_angle,
+                        tripod)
 from tripodholo.propagator import STEPS_PER_UNIT_TIME, _effective_steps
 
 from oracles import ar1_recursion, step_matrices
@@ -169,8 +169,9 @@ def test_solid_angle_forms_differ_by_the_winding(angles, radius):
 def test_solid_angle_and_length_survive_reparametrization(angles, radius, a):
     path = fourier_path(*angles, radius)
     moved = _reparametrized(path, a)
-    assert abs(solid_angle(moved).omega_cos - solid_angle(path).omega_cos) < 1e-9
-    assert abs(arc_length(moved) - arc_length(path)) < 1e-9
+    before, after = solid_angle(path), solid_angle(moved)
+    assert abs(after.omega_cos - before.omega_cos) < 1e-9
+    assert abs(after.arc_length - before.arc_length) < 1e-9
 
 
 @PROPERTY_SETTINGS

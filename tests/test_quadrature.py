@@ -35,9 +35,15 @@ def random_path(family: str, rng: np.random.Generator):
 
 
 def integrands(path, monkeypatch):
-    """The integrands the library hands to integrate_path for this path:
-    solid_angle's three rows, arc_length's scalar speed and
-    delta_variance_analytic's three squared kernel components."""
+    """The integrands the library hands to integrate_path for this path,
+    solid_angle's three rows and delta_variance_analytic's three squared
+    kernel components, plus the path's shadow speed as a scalar integrand
+    for the f -> (len(s),) branch."""
+
+    def speed(s):
+        return paths.shadow_speed(path.theta(s), path.theta.derivative(s),
+                                  path.phi.derivative(s))
+
     seen = []
     integrate_path = quadrature.integrate_path
 
@@ -47,12 +53,10 @@ def integrands(path, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(holonomy, "integrate_path", capture)
-        m.setattr(quadrature, "integrate_path", capture)
         holonomy.solid_angle(path)
-        paths.arc_length(path)
         holonomy.delta_variance_analytic(path, NoiseSpec.uniform(0.01, 0.5), 1.0)
-    assert len(seen) == 3
-    return seen
+    assert len(seen) == 2
+    return seen + [speed]
 
 
 def bits(value) -> bytes:

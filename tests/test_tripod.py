@@ -2,72 +2,29 @@ import numpy as np
 import pytest
 
 from tripodholo import latitude_loop, tripod
-from oracles import expm_taylor, step_matrix
+from oracles import dark_projector, expm_taylor, hamiltonian, step_matrix
 
 
 def test_hamiltonian_structure():
-    h = tripod.hamiltonian([1.0, 0.0, 0.0])
+    h = hamiltonian([1.0, 0.0, 0.0])
     expected = np.zeros((4, 4))
     expected[0, 1] = expected[1, 0] = 1.0
     assert np.array_equal(h, expected)
-    assert np.array_equal(tripod.hamiltonian([0.0, 0.0, 0.0]), np.zeros((4, 4)))
-    h = tripod.hamiltonian([0.0, 0.0, 2.0])
+    assert np.array_equal(hamiltonian([0.0, 0.0, 0.0]), np.zeros((4, 4)))
+    h = hamiltonian([0.0, 0.0, 2.0])
     assert h[0, 3] == h[3, 0] == 2.0
     assert np.count_nonzero(h) == 2
 
 
-def test_hamiltonian_rejects_bad_input():
-    with pytest.raises(ValueError):
-        tripod.hamiltonian([1.0, 2.0])
-    with pytest.raises(ValueError):
-        tripod.hamiltonian([np.nan, 0.0, 0.0])
-
-
-def test_spectral_axis_case():
-    sd = tripod.spectral([0.0, 0.0, 2.0])
-    assert sd.r == pytest.approx(2.0)
-    i0 = np.array([1.0, 0, 0, 0])
-    i3 = np.array([0, 0, 0, 1.0])
-    assert np.allclose(sd.e_plus, (i3 + i0) / np.sqrt(2))
-    assert np.allclose(sd.e_minus, (i3 - i0) / np.sqrt(2))
-    # dark space spans the embedded i1, i2 plane
-    span = np.stack(sd.dark_basis)
-    assert np.allclose(span[:, 0], 0.0)
-    assert np.allclose(span[:, 3], 0.0)
-    assert np.linalg.norm(sd.p_zero - np.diag([0, 1, 1, 0])) < 1e-12
-
-
-def test_spectral_eigen_relations():
+def test_dark_projector_is_the_kernel_of_the_hamiltonian():
+    assert np.array_equal(dark_projector([0.0, 0.0, 2.0]), np.diag([0.0, 1.0, 1.0, 0.0]))
     rng = np.random.default_rng(31)
     for _ in range(20):
         x = rng.standard_normal(3) * 2.0
-        sd = tripod.spectral(x)
-        h = tripod.hamiltonian(x)
-        assert np.linalg.norm(h @ sd.e_plus - sd.r * sd.e_plus) < 1e-10
-        assert np.linalg.norm(h @ sd.e_minus + sd.r * sd.e_minus) < 1e-10
-        for d in sd.dark_basis:
-            assert np.linalg.norm(h @ d) < 1e-10
-        assert np.linalg.norm(sd.p_plus + sd.p_minus + sd.p_zero - np.eye(4)) < 1e-12
-        for p, q in [(sd.p_plus, sd.p_minus), (sd.p_plus, sd.p_zero),
-                     (sd.p_minus, sd.p_zero)]:
-            assert np.linalg.norm(p @ q) < 1e-12
-
-
-def test_spectral_34_case():
-    sd = tripod.spectral([3.0, 4.0, 0.0])
-    assert sd.r == pytest.approx(5.0)
-    h = tripod.hamiltonian([3.0, 4.0, 0.0])
-    assert np.linalg.norm(h @ sd.e_plus - 5.0 * sd.e_plus) < 1e-10
-
-
-def test_spectral_rejects_zero():
-    with pytest.raises(ValueError):
-        tripod.spectral([0.0, 0.0, 0.0])
-
-
-def test_spectral_rejects_a_non_3_vector():
-    with pytest.raises(ValueError, match="x must be a real 3-vector"):
-        tripod.spectral([1.0, 2.0])
+        h, p0 = hamiltonian(x), dark_projector(x)
+        assert np.linalg.norm(h @ p0) < 1e-12
+        assert np.linalg.norm(p0 @ p0 - p0) < 1e-12
+        assert np.trace(p0) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_eigenvalue_multiset():
@@ -75,7 +32,7 @@ def test_eigenvalue_multiset():
     for _ in range(10):
         x = rng.standard_normal(3)
         r = np.linalg.norm(x)
-        vals = np.sort(np.linalg.eigvalsh(tripod.hamiltonian(x)))
+        vals = np.sort(np.linalg.eigvalsh(hamiltonian(x)))
         assert np.allclose(vals, [-r, 0.0, 0.0, r], atol=1e-10)
 
 
@@ -167,8 +124,8 @@ def test_r_rotation_endpoints_and_conjugation():
     assert np.linalg.norm(tripod.r_rotation(path, 1.0) - np.eye(4)) < 1e-10
     for s in (0.25, 0.5, 0.77):
         r = tripod.r_rotation(path, s)
-        h0 = tripod.hamiltonian(path.x(0.0))
-        hs = tripod.hamiltonian(path.x(s))
+        h0 = hamiltonian(path.x(0.0))
+        hs = hamiltonian(path.x(s))
         alpha = float(path.radius(s) / path.radius(0.0))
         assert np.linalg.norm(hs - alpha * r.T @ h0 @ r) < 1e-10
 
@@ -189,7 +146,7 @@ def test_step_unitary_examples():
     assert np.allclose(step_matrix([0.0, 0.0, 1.0], 2 * np.pi), np.eye(4),
                        atol=1e-12)
     u = step_matrix([0.0, 0.0, 1.0], np.pi)
-    oracle = expm_taylor(-1j * np.pi * tripod.hamiltonian([0, 0, 1.0]))
+    oracle = expm_taylor(-1j * np.pi * hamiltonian([0, 0, 1.0]))
     assert np.linalg.norm(u - oracle) < 1e-12
     assert np.allclose(u, np.diag([-1.0, 1.0, 1.0, -1.0]), atol=1e-12)
     assert np.allclose(step_matrix([0.0, 0.0, 0.0], 0.7), np.eye(4))
@@ -201,9 +158,9 @@ def test_step_unitary_against_series_oracle_random():
         x = rng.standard_normal(3)
         dt = rng.uniform(0.1, 2.0)
         u = step_matrix(x, dt)
-        oracle = expm_taylor(-1j * dt * tripod.hamiltonian(x))
+        oracle = expm_taylor(-1j * dt * hamiltonian(x))
         assert np.linalg.norm(u - oracle) < 1e-11
-        h = tripod.hamiltonian(x).astype(complex)
+        h = hamiltonian(x).astype(complex)
         assert np.linalg.norm(u @ h - h @ u) < 1e-12
         assert np.linalg.norm(u.conj().T @ u - np.eye(4)) < 1e-12
 
@@ -235,7 +192,7 @@ def test_step_quaternions_rotate_like_conjugated_steps():
     phase = np.diag([1.0, 1j, 1j, 1j])
     for x, dt, q in zip(xs, dts, qs):
         rotation = np.column_stack([_qmul(_qmul(q, e), q) for e in np.eye(4)])
-        oracle = expm_taylor(-1j * dt * tripod.hamiltonian(x))
+        oracle = expm_taylor(-1j * dt * hamiltonian(x))
         assert np.linalg.norm(phase.conj() @ oracle @ phase - rotation) < 1e-11
     zero = tripod.step_unitaries(np.zeros((1, 3)), 0.7)
     assert np.array_equal(zero, [[1.0, 0.0, 0.0, 0.0]])
