@@ -218,7 +218,11 @@ def mc_delta(path: paths.ControlPath, spec: noise.NoiseSpec, epsilon: float,
     which builds no dense noise grid. A full-propagation ensemble evaluates
     the nominal path once: its values at the noise grid's knots, and its
     drive at each step-count grid and step midpoints the realizations'
-    propagations ask for; each realization still takes its own step count.
+    propagations ask for. It also checks the noise grid once and takes each
+    axis's step factor, innovation scale and taper (ramp or bridge weight)
+    once, in a noise._NoiseGrid. Each realization still draws and filters
+    its own noise (one noise.sample_realization call), is perturbed (one
+    paths.perturb call) and takes its own step count.
     Both modes run their realizations in one loop, in index order, on the
     calling thread.
     """
@@ -243,13 +247,15 @@ def mc_delta(path: paths.ControlPath, spec: noise.NoiseSpec, epsilon: float,
         spu = int(spu)
         grid = _mc_grid(path, spec, period)
         omega_ref = holonomy.solid_angle(path).omega_canonical
-        # The nominal path's values, once for every realization.
+        # The nominal path's values and the noise constants, once for every
+        # realization.
         knots = paths._Knots(path, grid / grid[-1], remember=True)
+        noise_grid = noise._NoiseGrid(spec, grid)
         basis = propagator.dark_basis_matrix(path)
         deltas = np.empty(n)
         leakages = np.empty(n)
         for idx in range(n):
-            real = noise.sample_realization(spec, grid, idx)
+            real = noise.sample_realization(spec, noise_grid, idx)
             try:
                 perturbed = paths.perturb(knots, real)
             except ValueError:

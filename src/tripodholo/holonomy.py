@@ -64,11 +64,10 @@ def solid_angle(path: ControlPath) -> SolidAngleReport:
         )
 
     def forms(s):
-        theta = path.theta(s)
+        theta, thetad = path.theta._value_and_derivative(s)
         c = np.cos(theta)
         phid = path.phi.derivative(s)
-        return np.stack([c * phid, (1.0 - c) * phid,
-                         shadow_speed(theta, path.theta.derivative(s), phid)])
+        return np.stack([c * phid, (1.0 - c) * phid, shadow_speed(theta, thetad, phid)])
 
     omega_cos, omega_area, length = (float(v) for v in integrate_path(forms))
     return SolidAngleReport(

@@ -13,7 +13,6 @@ experiments' first-order engine shares both.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +65,12 @@ class NoiseSpec:
 
 @dataclass(frozen=True, eq=False)
 class NoiseRealization:
-    """One sampled perturbation dx(t) on a physical-time grid 0..T."""
+    """One sampled perturbation dx(t) on a physical-time grid 0..T.
+
+    dx has shape (len(grid), 3). sample_realization returns it as the
+    transpose of contiguous (3, len(grid)) axis rows, the layout
+    paths.perturb adds to the nominal drive, so perturb takes it uncopied.
+    """
 
     grid: np.ndarray
     dx: np.ndarray
@@ -117,17 +121,15 @@ def _ar1(c: float, x: np.ndarray) -> np.ndarray:
     return y.ravel()[:n]
 
 
-# Three entries: each axis of a spec may have its own tau, and an ensemble
-# draws every realization on one grid.
-@functools.lru_cache(maxsize=3)
 def bridge_weight(a, m: int) -> np.ndarray:
     """Projection weights w_k = cov(x_k, x_m) / var(x_m), k = 0..m, of the
     zero-started chain with step factor a, x_k = a x_{k-1} + innovation:
     w_k = (a^(m-k) - a^(m+k)) / (1 - a^(2m)). Subtracting x_m w conditions
     the chain on x_m = 0, the exact bridge.
 
-    The weights depend only on (a, m), so they are computed once per pair
-    and shared, as a read-only array, by every realization drawn with it.
+    The weights depend only on (a, m); a _NoiseGrid computes them once per
+    ensemble and tau, and shares them, read-only, with every realization
+    drawn on it.
     """
     k = np.arange(m + 1)
     w = (a ** (m - k) - a ** (m + k)) / (1.0 - a ** (2 * m))
@@ -135,47 +137,90 @@ def bridge_weight(a, m: int) -> np.ndarray:
     return w
 
 
+class _NoiseGrid:
+    """A spec's time grid, checked, with what every realization drawn on it
+    shares: one per ensemble, passed to sample_realization in place of the
+    grid array.
+
+    t is the grid. axes holds, per driven axis, (axis, sigma, a, scale,
+    taper): the chain's step factor a = exp(-2 dt / tau), its innovation
+    scale sigma sqrt(1 - a^2), and the pinning's taper, the ramp that
+    multiplies the chain (endpoint-ramp) or the bridge weight whose multiple
+    of the last value it subtracts (exact-bridge), None without pinning.
+    Axes with the same tau share one taper.
+    """
+
+    def __init__(self, spec: NoiseSpec, grid):
+        t = np.asarray(grid, dtype=float)
+        if t.ndim != 1 or t.size < 2:
+            raise ValueError("grid must be a 1-d array with at least two points")
+        dt = t[1] - t[0]
+        # A decreasing grid would give NaN noise, a constant one zero noise.
+        if not dt > 0.0:
+            raise ValueError("grid must be increasing")
+        if not np.allclose(np.diff(t), dt, rtol=1e-9, atol=0.0):
+            raise ValueError("grid must be uniform")
+        driven = [i for i in range(3) if spec.sigma[i] > 0.0]
+        for i in driven:
+            if dt > spec.tau[i] / 10.0 + 1e-15:
+                raise ValueError(
+                    f"grid spacing {dt:g} too coarse for tau[{i}] = {spec.tau[i]:g}; "
+                    "need dt <= tau/10"
+                )
+        self.spec = spec
+        self.t = t
+        self.axes = []
+        tapers = {}
+        for i in driven:
+            sigma, tau = spec.sigma[i], spec.tau[i]
+            a = np.exp(-2.0 * dt / tau)
+            if tau not in tapers:
+                if spec.pinning == "exact-bridge":
+                    tapers[tau] = bridge_weight(a, t.size - 1)
+                elif spec.pinning == "endpoint-ramp":
+                    tapers[tau] = _ramp(t, tau, t[-1])
+                else:
+                    tapers[tau] = None
+            self.axes.append((i, sigma, a, sigma * np.sqrt(1.0 - a * a), tapers[tau]))
+
+
 def sample_realization(spec: NoiseSpec, grid, index: int) -> NoiseRealization:
     """Draw realization `index` of the spec on a uniform time grid.
 
     The chain update is exact for any step: dx(t+dt) = a dx(t) +
     sigma sqrt(1-a^2) xi with a = exp(-2 dt / tau), started stationary
-    (or at zero for the bridge). The grid must resolve the correlation,
-    dt <= tau/10 on every driven axis.
+    (or at zero for the bridge). The grid must increase and resolve the
+    correlation, dt <= tau/10 on every driven axis.
+
+    grid is an array of times, or the _NoiseGrid an ensemble builds once
+    from its spec and grid, so that the grid checks, the step factors and
+    the tapers are not redone for each realization; a _NoiseGrid of
+    another spec is rebuilt from its times. Either way a realization draws
+    and filters its own noise, to the same bits, into its own axis row.
     """
-    t = np.asarray(grid, dtype=float)
-    if t.ndim != 1 or t.size < 2:
-        raise ValueError("grid must be a 1-d array with at least two points")
-    dt = t[1] - t[0]
-    if not np.allclose(np.diff(t), dt, rtol=1e-9, atol=0.0):
-        raise ValueError("grid must be uniform")
-    driven = [i for i in range(3) if spec.sigma[i] > 0.0]
-    for i in driven:
-        if dt > spec.tau[i] / 10.0 + 1e-15:
-            raise ValueError(
-                f"grid spacing {dt:g} too coarse for tau[{i}] = {spec.tau[i]:g}; "
-                "need dt <= tau/10"
-            )
+    if not isinstance(grid, _NoiseGrid):
+        grid = _NoiseGrid(spec, grid)
+    elif grid.spec != spec:
+        grid = _NoiseGrid(spec, grid.t)
+    t = grid.t
     n = t.size
-    total = t[-1]
-    dx = np.zeros((n, 3))
-    for i in driven:
+    rows = np.zeros((3, n))
+    for i, sigma, a, scale, taper in grid.axes:
         rng = np.random.default_rng([spec.seed, index, i])
-        sigma, tau = spec.sigma[i], spec.tau[i]
-        a = np.exp(-2.0 * dt / tau)
         z = rng.standard_normal(n)
         # The bridge starts at zero, the other chains stationary.
-        w = sigma * np.sqrt(1.0 - a * a) * z
+        w = scale * z
         w[0] = 0.0 if spec.pinning == "exact-bridge" else sigma * z[0]
         series = lfilter(a, w)
         if spec.pinning == "exact-bridge":
             # Condition the zero-started chain on ending at zero: subtract
             # the Gaussian projection onto the final value.
-            series = series - series[-1] * bridge_weight(a, n - 1)
+            np.subtract(series, series[-1] * taper, out=rows[i])
         elif spec.pinning == "endpoint-ramp":
-            series = series * _ramp(t, tau, total)
-        dx[:, i] = series
-    return NoiseRealization(grid=t.copy(), dx=dx)
+            np.multiply(series, taper, out=rows[i])
+        else:
+            rows[i] = series
+    return NoiseRealization(grid=t.copy(), dx=rows.T)
 
 
 def _ramp(t: np.ndarray, tau: float, total: float) -> np.ndarray:

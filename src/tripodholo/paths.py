@@ -34,6 +34,11 @@ class Profile:
     def derivative(self, s):
         return self.dfn(np.asarray(s, dtype=float))
 
+    def _value_and_derivative(self, s):
+        """(self(s), self.derivative(s)), for callers that need both."""
+        s = np.asarray(s, dtype=float)
+        return self.fn(s), self.dfn(s)
+
 
 @dataclass(frozen=True)
 class Harmonics:
@@ -62,6 +67,25 @@ class Harmonics:
         for k, a in enumerate(self.cos, start=1):
             out = out - a * 2.0 * np.pi * k * np.sin(2.0 * np.pi * k * s)
         return out
+
+    def _value_and_derivative(self, s):
+        """(self(s), self.derivative(s)) to the bit, with each harmonic's
+        2 pi k s, sine and cosine formed once for both; both sums keep
+        their order."""
+        s = np.asarray(s, dtype=float)
+        args = [2.0 * np.pi * k * s
+                for k in range(1, max(len(self.sin), len(self.cos)) + 1)]
+        sines = [np.sin(arg) for arg in args]
+        cosines = [np.cos(arg) for arg in args]
+        value = self.offset + self.slope * s
+        rate = np.full_like(s, self.slope)
+        for k, a in enumerate(self.sin, start=1):
+            value = value + a * sines[k - 1]
+            rate = rate + a * 2.0 * np.pi * k * cosines[k - 1]
+        for k, a in enumerate(self.cos, start=1):
+            value = value + a * cosines[k - 1]
+            rate = rate - a * 2.0 * np.pi * k * sines[k - 1]
+        return value, rate
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,11 +135,8 @@ class ControlPath:
 
     def xhat_dot(self, s):
         """d x^/ds = theta' e_theta + phi' sin(theta) e_phi."""
-        s = np.asarray(s, dtype=float)
-        th = self.theta(s)
-        ph = self.phi(s)
-        thd = self.theta.derivative(s)
-        phd = self.phi.derivative(s)
+        th, thd = self.theta._value_and_derivative(s)
+        ph, phd = self.phi._value_and_derivative(s)
         f = tripod.frame(th, ph)
         return thd[..., None] * f.etheta + (phd * np.sin(th))[..., None] * f.ephi
 

@@ -18,10 +18,13 @@ both in closed form. Every step is exactly unitary, and the two routes
 must agree through V(T) = R(T) U(T), which the tests enforce.
 
 Each route hands the core a builder that turns an array of step times into
-its step pairs. The core streams: it builds BLOCK steps at a time, reduces
-them by the first levels of one pairwise tree over all steps, and finishes
-the blocks' nodes in that same tree, so a propagation's memory stays the
-same while its step count grows as 1/epsilon.
+one array of its step pairs. tripod.step_unitaries returns its steps as
+complex pairs whose transpose is contiguous, the core's layout, so a
+builder writes that array with unit strides and no stacking copy. The core
+streams: it builds BLOCK steps at a time, reduces them by the first levels
+of one pairwise tree over all steps, and finishes the blocks' nodes in that
+same tree, so a propagation's memory stays the same while its step count
+grows as 1/epsilon.
 """
 
 from __future__ import annotations
@@ -72,29 +75,25 @@ _Q = np.array([1.0, 1j, 1j, 1j])
 _BASIS = np.array([[1.0, 1j, 0.0, 0.0], [0.0, 0.0, 1.0, 1j]])
 
 
-def _pair(q: np.ndarray) -> np.ndarray:
-    """Complex pairs (z1, z2) = (q0 + i q1, q2 + i q3), so that q = z1 + z2 j,
-    of real quaternion rows (q0, q1, q2, q3): shape (n, 4) -> (2, n).
-
-    A C-contiguous q is viewed, not copied.
-    """
-    return np.ascontiguousarray(q, dtype=float).view(complex).T
-
-
 def _unpair(z: np.ndarray) -> np.ndarray:
-    """Real quaternion rows of complex pairs, shape (2, n) -> (n, 4); inverts
-    _pair."""
+    """Real quaternion rows (q0, q1, q2, q3) of complex pairs
+    (z1, z2) = (q0 + i q1, q2 + i q3), shape (2, n) -> (n, 4)."""
     return np.ascontiguousarray(z.T).view(float)
 
 
-def _conj(q: np.ndarray) -> np.ndarray:
-    """Quaternion conjugate of complex pairs: conj(z1 + z2 j) = conj(z1) - z2 j."""
-    return np.stack([q[0].conj(), -q[1]])
+def _conj(q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Quaternion conjugate of complex pairs: conj(z1 + z2 j) = conj(z1) - z2 j,
+    written into out when it is given."""
+    if out is None:
+        out = np.empty_like(q)
+    np.conjugate(q[0], out=out[0])
+    np.negative(q[1], out=out[1])
+    return out
 
 
-def _qmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _qmul(p: np.ndarray, q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Quaternion product p q of complex pairs whose first axis holds
-    (z1, z2); the other axes broadcast.
+    (z1, z2); the other axes broadcast. Written into out when it is given.
 
     Since j z = conj(z) j, (p1 + p2 j)(q1 + q2 j)
     = (p1 q1 - p2 conj(q2)) + (p1 q2 + p2 conj(q1)) j.
@@ -103,7 +102,8 @@ def _qmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     # block; indexing and np.broadcast are the cheapest split and shape.
     p1, p2 = p[0], p[1]
     q1, q2 = q[0], q[1]
-    out = np.empty(np.broadcast(p, q).shape, dtype=complex)
+    if out is None:
+        out = np.empty(np.broadcast(p, q).shape, dtype=complex)
     np.multiply(p1, q1, out=out[0])
     out[0] -= p2 * q2.conj()
     np.multiply(p1, q2, out=out[1])
@@ -138,8 +138,9 @@ def _tree_product(m: np.ndarray) -> np.ndarray:
 
 def _propagate(steps, n: int, dt: float) -> np.ndarray:
     """U = Q M Q^-1 for n steps M_k v = a_k v conj(b_k) at the midpoint
-    times t_k = (k + 1/2) dt, where steps(t) returns the complex pairs
-    (a, b), each of shape (2, len(t)), for an array t of step times.
+    times t_k = (k + 1/2) dt, where steps(t) returns the block of complex
+    pairs of an array t of step times, shape (2, 2, len(t)): a_k in
+    [:, 0, k] and b_k in [:, 1, k].
 
     The steps are built BLOCK at a time, and each block is reduced by the
     first BLOCK_LEVELS levels of the pairwise tree over all n steps. One
@@ -156,7 +157,7 @@ def _propagate(steps, n: int, dt: float) -> np.ndarray:
     nodes, groups = [], []
     for start in range(0, n, BLOCK):
         t = (np.arange(start, min(start + BLOCK, n)) + 0.5) * dt
-        block = np.stack(steps(t), axis=1)
+        block = steps(t)
         nodes.append(_tree_levels(block, BLOCK_LEVELS))
         if not np.all(np.isfinite(nodes[-1])):
             k = int(np.argmin(np.isfinite(block).all(axis=(0, 1))))
@@ -222,8 +223,11 @@ def evolve_lab(path: ControlPath, epsilon: float, *,
     dt = t_nominal / n
 
     def steps(t):
-        q = _pair(tripod.step_unitaries(path.x(t / period), dt))
-        return q, _conj(q)
+        q = tripod.step_unitaries(path.x(t / period), dt).T
+        block = np.empty((2, 2, t.size), dtype=complex)
+        block[:, 0] = q
+        _conj(q, out=block[:, 1])
+        return block
 
     return _propagate(steps, n, dt)
 
@@ -249,10 +253,14 @@ def evolve_moving(path: ControlPath, epsilon: float, *,
     def steps(t):
         s_mid = t * epsilon
         w = tripod.frame_angular_velocity(path, s_mid)
-        p = _pair(tripod.step_unitaries(w, 0.5 * epsilon * dt))
+        p = tripod.step_unitaries(w, 0.5 * epsilon * dt).T
         alpha = path.radius(s_mid) / r0
-        q = _pair(tripod.step_unitaries(np.broadcast_to(x0, (t.size, 3)), alpha * dt))
-        return _qmul(_qmul(p, q), p), _qmul(_qmul(p, _conj(q)), p)
+        q = tripod.step_unitaries(np.broadcast_to(x0, (t.size, 3)), alpha * dt).T
+        block = np.empty((2, 2, t.size), dtype=complex)
+        _qmul(_qmul(p, q), p, out=block[:, 0])
+        # conj(q) passes through block[:, 1], which p conj(q) p overwrites.
+        _qmul(_qmul(p, _conj(q, out=block[:, 1])), p, out=block[:, 1])
+        return block
 
     return _propagate(steps, n, dt)
 

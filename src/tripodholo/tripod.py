@@ -103,28 +103,34 @@ def frame_angular_velocity(path, s) -> np.ndarray:
     rotates v by the initial frame block.
     """
     s = np.asarray(s, dtype=float)
-    theta = path.theta(s)
+    theta, thetad = path.theta._value_and_derivative(s)
     phid = path.phi.derivative(s)
-    thetad = path.theta.derivative(s)
     v = np.stack([-phid * np.sin(theta), thetad, phid * np.cos(theta)], axis=-1)
     d0 = d_rotation_block(float(path.theta(0.0)), float(path.phi(0.0)))
     return v @ d0
 
 
 def step_unitaries(xs, dts) -> np.ndarray:
-    """Exact steps exp(-i H(x) dt) as (n, 4) real unit quaternions.
+    """Exact steps exp(-i H(x) dt) as unit quaternions, one row per step, in
+    the propagation core's complex-pair layout: shape (n, 2), complex.
 
-    xs has shape (n, 3), dts is a scalar or has shape (n,). Each row is
+    xs has shape (n, 3), dts is a scalar or has shape (n,). Each step is
     q = cos(r dt/2) - sin(r dt/2) x^, components (1, i, j, k); zero drive
     gives q = 1. With Q = diag(1, i, i, i), the real rotation
     Q^-1 exp(-iH dt) Q acts on v = v0 + v1 i + v2 j + v3 k as v -> q v q.
+    Row k is the pair (q0 + i q1, q2 + i q3), so q = z1 + z2 j. The rows are
+    the transpose of a C-contiguous (2, n) array, whose two rows are the
+    z1 and z2 of every step: propagator's layout. 32 B per step.
     """
     xs = np.asarray(xs, dtype=float)
     n = xs.shape[0]
     dts = np.broadcast_to(np.asarray(dts, dtype=float), (n,))
     r = np.sqrt(np.einsum("ni,ni->n", xs, xs))
     half = 0.5 * r * dts
-    out = np.empty((n, 4))
-    out[:, 0] = np.cos(half)
-    out[:, 1:] = xs * (-np.sin(half) / np.where(r > 0.0, r, 1.0))[:, None]
-    return out
+    f = -np.sin(half) / np.where(r > 0.0, r, 1.0)
+    out = np.empty((2, n), dtype=complex)
+    np.cos(half, out=out[0].real)
+    np.multiply(xs[:, 0], f, out=out[0].imag)
+    np.multiply(xs[:, 1], f, out=out[1].real)
+    np.multiply(xs[:, 2], f, out=out[1].imag)
+    return out.T

@@ -1,10 +1,12 @@
-"""The rules tools/bench_pairs.py applies to a perf claim, on synthetic runs.
+"""The rules tools/bench_pairs.py applies to a perf claim, on synthetic runs,
+and its copy of the working tree, on a throwaway git repository.
 
 summarize only compares two lists of per-run values, so these tests feed it
 made-up base and change runs and never run the benchmark.
 """
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -53,3 +55,32 @@ def test_iqr_rule_needs_a_median_gain_above_the_base_spread():
 def test_regression_bound_is_relative_to_the_base_median(better, factor, within):
     line = verdict(better, BASE, [factor * v for v in BASE])
     assert line.endswith(f"within bound 0.25 {within}")
+
+
+def test_worktree_export_copies_what_git_would_commit_as_it_is_on_disk(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
+                        "-c", "commit.gpgsign=false", *args], check=True, capture_output=True)
+
+    git("init", "-q")
+    (repo / ".gitignore").write_text("*.log\n")
+    (repo / "edited.txt").write_text("committed\n")
+    (repo / "deleted.txt").write_text("committed\n")
+    (repo / "pkg").mkdir()
+    (repo / "pkg" / "kept.py").write_text("x = 1\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "init")
+    (repo / "edited.txt").write_text("uncommitted\n")
+    (repo / "deleted.txt").unlink()
+    (repo / "pkg" / "new.py").write_text("y = 2\n")
+    (repo / "pkg" / "run.log").write_text("ignored\n")
+
+    out = tmp_path / "out"
+    bench_pairs.export_worktree(repo, out)
+    files = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+    assert files == [".gitignore", "edited.txt", "pkg/kept.py", "pkg/new.py"]
+    assert (out / "edited.txt").read_text() == "uncommitted\n"
+    assert not (out / ".git").exists()

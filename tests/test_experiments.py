@@ -416,18 +416,32 @@ def test_mc_full_mode_reports_leakage_fields():
 def test_exact_bridge_weight_is_computed_once_per_axis_setting(monkeypatch):
     # The bridge weight depends only on the grid and tau: a full-propagation
     # ensemble computes it once per distinct tau, not per realization and
-    # axis, and the deltas equal those drawn with the uncached weight.
+    # axis, and the deltas equal those drawn with a weight computed afresh
+    # for each realization, from the grid array.
     spec = NoiseSpec(sigma=(0.01, 0.01, 0.01), tau=(0.5, 0.5, 0.25),
                      pinning="exact-bridge", seed=13)
-    n = 6
-    noise_mod.bridge_weight.cache_clear()
-    cached = mc_delta(EQUATOR, spec, 0.02, n, "full_propagation")
-    info = noise_mod.bridge_weight.cache_info()
-    assert (info.misses, info.hits) == (2, 3 * n - 2)
-    monkeypatch.setattr(noise_mod, "bridge_weight", noise_mod.bridge_weight.__wrapped__)
-    direct = mc_delta(EQUATOR, spec, 0.02, n, "full_propagation")
-    assert cached.n_excluded == direct.n_excluded == 0
-    assert cached.deltas.tobytes() == direct.deltas.tobytes()
+    original = noise_mod.bridge_weight
+    calls = []
+
+    def counting(a, m):
+        calls.append((a, m))
+        return original(a, m)
+
+    monkeypatch.setattr(noise_mod, "bridge_weight", counting)
+    counts = []
+    for n in (6, 12):
+        calls.clear()
+        shared = mc_delta(EQUATOR, spec, 0.02, n, "full_propagation")
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == 2
+    draw = noise_mod.sample_realization
+    monkeypatch.setattr(noise_mod, "sample_realization",
+                        lambda spec, grid, idx: draw(spec, grid.t, idx))
+    calls.clear()
+    direct = mc_delta(EQUATOR, spec, 0.02, 12, "full_propagation")
+    assert len(calls) == 2 + 2 * 12
+    assert shared.n_excluded == direct.n_excluded == 0
+    assert shared.deltas.tobytes() == direct.deltas.tobytes()
 
 
 def test_mc_excludes_non_adiabatic_realizations():
@@ -470,6 +484,31 @@ def test_ensembles_start_no_thread(monkeypatch):
     for mode in MC_MODES:
         res = mc_delta(EQUATOR, spec, 0.02, 4, mode)
         assert res.n_excluded == 0 and res.delta_std > 0.0
+
+
+def test_full_propagation_draws_and_perturbs_once_per_realization(monkeypatch):
+    # The ensemble prepares its noise grid once, but every realization is
+    # still drawn by noise.sample_realization and perturbed by paths.perturb,
+    # so that patching either one reaches every realization.
+    draw, shift = noise_mod.sample_realization, paths.perturb
+    grids, perturbed = [], []
+
+    def counting_draw(spec, grid, idx):
+        grids.append(grid)
+        return draw(spec, grid, idx)
+
+    def counting_perturb(knots, real):
+        perturbed.append(real)
+        return shift(knots, real)
+
+    monkeypatch.setattr(noise_mod, "sample_realization", counting_draw)
+    monkeypatch.setattr(paths, "perturb", counting_perturb)
+    spec = NoiseSpec.uniform(0.01, 0.5, seed=31)
+    res = mc_delta(EQUATOR, spec, 0.02, 5, "full_propagation")
+    assert res.n_excluded == 0
+    assert len(grids) == len(perturbed) == 5
+    assert isinstance(grids[0], noise_mod._NoiseGrid)
+    assert all(g is grids[0] for g in grids)
 
 
 def _rest_to_rest_equator():

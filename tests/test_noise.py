@@ -132,6 +132,48 @@ def test_nonuniform_grid_rejected():
         sample_realization(spec, grid, 0)
 
 
+@pytest.mark.parametrize("grid", [np.linspace(0.0, -1.0, 11), np.full(5, 2.0)],
+                         ids=["decreasing", "constant"])
+def test_grid_that_does_not_increase_rejected(grid):
+    # A decreasing grid gave NaN noise, a constant one all-zero noise.
+    spec = NoiseSpec.uniform(0.01, 0.5)
+    with pytest.raises(ValueError, match="grid must be increasing"):
+        sample_realization(spec, grid, 0)
+
+
+@pytest.mark.parametrize("pinning", ["none", "endpoint-ramp", "exact-bridge"])
+@pytest.mark.parametrize("sigma", [(0.01, 0.01, 0.02), (0.01, 0.0, 0.02)],
+                         ids=["all-driven", "axis-1-quiet"])
+def test_prepared_grid_draws_what_the_grid_array_draws(pinning, sigma):
+    # An ensemble prepares the grid once; each realization on it equals, to
+    # the bit, the one drawn on the plain grid array.
+    spec = NoiseSpec(sigma=sigma, tau=(0.5, 0.5, 0.25), pinning=pinning, seed=17)
+    grid = np.linspace(0.0, 10.0, 401)
+    prepared = noise._NoiseGrid(spec, grid)
+    for idx in range(3):
+        shared = sample_realization(spec, prepared, idx)
+        own = sample_realization(spec, grid, idx)
+        assert np.array_equal(shared.grid, own.grid)
+        assert shared.dx.tobytes() == own.dx.tobytes()
+        # Axis rows, the layout perturb adds to the drive without a copy.
+        assert shared.dx.T.flags.c_contiguous
+        assert np.all(shared.dx[1:-1, [0, 2]] != 0.0)
+        assert shared.dx[:, 1].any() == (sigma[1] > 0.0)
+
+
+def test_prepared_grid_of_another_spec_is_rebuilt():
+    grid = np.linspace(0.0, 10.0, 401)
+    prepared = noise._NoiseGrid(NoiseSpec.uniform(0.01, 0.5, seed=4), grid)
+    for other in (NoiseSpec.uniform(0.01, 0.5, seed=5),
+                  NoiseSpec(sigma=(0.02, 0.0, 0.01), tau=(0.25, 0.5, 1.0),
+                            pinning="exact-bridge", seed=4)):
+        shared = sample_realization(other, prepared, 2)
+        assert shared.dx.tobytes() == sample_realization(other, grid, 2).dx.tobytes()
+    # The rebuilt grid is checked against the new spec.
+    with pytest.raises(ValueError, match="coarse"):
+        sample_realization(NoiseSpec.uniform(0.01, 0.05, seed=4), prepared, 0)
+
+
 def test_long_run_variance(ensemble):
     spec, grid, reals = ensemble
     interior = slice(300, -300)

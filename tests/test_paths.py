@@ -106,6 +106,21 @@ def test_latitude_profiles_equal_their_closed_forms(theta0, r0):
     assert np.array_equal(path.radius.derivative(s), np.zeros_like(s))
 
 
+@pytest.mark.parametrize("profile", [
+    Harmonics(1.2, sin=(0.25, 0.1), cos=(0.05,)),
+    Harmonics(0.3, slope=2 * np.pi, sin=(0.2,), cos=(0.1, -0.05, 0.02)),
+    Harmonics(1.0, slope=0.5),
+    lune_path(0.3).theta,
+], ids=["more-sines", "more-cosines", "no-harmonics", "lune-legs"])
+def test_value_and_derivative_together_equal_the_separate_calls(profile):
+    # Callers that need both share each harmonic's sine and cosine; the
+    # sums keep their order, so the values keep every bit.
+    for s in (_PROBES, 0.3):
+        value, rate = profile._value_and_derivative(s)
+        assert np.array_equal(value, profile(s))
+        assert np.array_equal(rate, profile.derivative(s))
+
+
 def test_lune_path_validation():
     with pytest.raises(ValueError):
         lune_path(0.0)

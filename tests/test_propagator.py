@@ -24,13 +24,18 @@ from tripodholo.propagator import (
     MAX_STEPS,
     _conj,
     _effective_steps,
-    _pair,
     _qmul,
     _unpair,
     dark_basis_matrix,
 )
 
 from oracles import hamilton, step_matrix
+
+
+def _pair(q):
+    """Complex pairs (q0 + i q1, q2 + i q3) of real quaternion rows
+    (q0, q1, q2, q3): shape (n, 4) -> (2, n)."""
+    return np.ascontiguousarray(q, dtype=float).view(complex).T
 
 
 def constant_path(theta0=1.1, phi0=0.4, r0=1.3):

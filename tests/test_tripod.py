@@ -186,7 +186,11 @@ def test_step_quaternions_rotate_like_conjugated_steps():
     rng = np.random.default_rng(13)
     xs = rng.standard_normal((6, 3))
     dts = rng.uniform(0.1, 2.0, 6)
-    qs = tripod.step_unitaries(xs, dts)
+    pairs = tripod.step_unitaries(xs, dts)
+    assert pairs.shape == (6, 2) and pairs.dtype == complex
+    assert pairs.T.flags.c_contiguous
+    # Pair rows (q0 + i q1, q2 + i q3) as real quaternion rows (q0, q1, q2, q3).
+    qs = np.ascontiguousarray(pairs).view(float)
     assert qs.shape == (6, 4)
     assert np.allclose(np.linalg.norm(qs, axis=1), 1.0, atol=1e-15)
     phase = np.diag([1.0, 1j, 1j, 1j])
@@ -194,5 +198,5 @@ def test_step_quaternions_rotate_like_conjugated_steps():
         rotation = np.column_stack([_qmul(_qmul(q, e), q) for e in np.eye(4)])
         oracle = expm_taylor(-1j * dt * hamiltonian(x))
         assert np.linalg.norm(phase.conj() @ oracle @ phase - rotation) < 1e-11
-    zero = tripod.step_unitaries(np.zeros((1, 3)), 0.7)
+    zero = np.ascontiguousarray(tripod.step_unitaries(np.zeros((1, 3)), 0.7)).view(float)
     assert np.array_equal(zero, [[1.0, 0.0, 0.0, 0.0]])

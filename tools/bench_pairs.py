@@ -3,8 +3,10 @@
     python3 tools/bench_pairs.py --workload gate --pairs 10 --seed 1001
 
 Exports ``--base`` (a git revision, default HEAD) with ``git archive`` into a
-temporary directory, then runs ``benchmarks/run.py --trace 0`` alternately
-in that copy and in the working tree, ``--pairs`` times, with the same
+temporary directory, and the working tree (tracked and untracked files that
+git does not ignore, as they are on disk) into another, so that both sides
+run from fresh copies alike. It then runs ``benchmarks/run.py --trace 0``
+alternately in the two copies, ``--pairs`` times, with the same
 workload, run length and seed on both sides of a pair (seed ``--seed + i``
 for pair ``i``). The base runs first in odd pairs and the working tree in
 even ones. It prints every run, and then for each end-to-end metric of
@@ -22,6 +24,8 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -38,6 +42,23 @@ def export_revision(rev: str, dest: Path) -> None:
                          check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(dest, filter="data")
+
+
+def export_worktree(root: Path, dest: Path) -> None:
+    """Copy the working tree of the git repository at ``root`` into ``dest``:
+    tracked and untracked files that git does not ignore, as they are on
+    disk, uncommitted edits included, and no ``.git``. A tracked file
+    deleted from disk is left out."""
+    listing = subprocess.run(["git", "-C", str(root), "ls-files", "-z", "--cached",
+                              "--others", "--exclude-standard"],
+                             check=True, capture_output=True).stdout
+    for name in sorted({os.fsdecode(n) for n in listing.split(b"\0") if n}):
+        source = root / name
+        if not source.is_file():
+            continue
+        target = dest / name
+        target.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(source, target)
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, out: Path) -> dict:
@@ -93,9 +114,9 @@ def main(argv=None) -> int:
     runs = {"base": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         tmp = Path(tmp)
-        base_tree = tmp / "base"
-        export_revision(args.base, base_tree)
-        trees = {"base": base_tree, "change": ROOT}
+        trees = {"base": tmp / "base", "change": tmp / "change"}
+        export_revision(args.base, trees["base"])
+        export_worktree(ROOT, trees["change"])
         for i in range(args.pairs):
             seed = args.seed + i
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
